@@ -114,8 +114,8 @@ void Run() {
   // Bytes-on-wire at the Fig-5 operating point under continuous sync:
   // the same ECM-EH sites (wc'98, eps=0.05), but instead of one final
   // aggregation the sites push periodically and each push ships through
-  // the delta/RLZ channel (dist/compress.h). This is the steady-state
-  // cost the one-shot tree numbers above do not show.
+  // the site's channel (dist/compress.h). This is the steady-state cost
+  // the one-shot tree numbers above do not show.
   {
     auto events = LoadDataset(Dataset::kWc98, kEvents);
     const int sites = static_cast<int>(ScaledSites(8));
@@ -125,12 +125,10 @@ void Run() {
     PrintHeader(
         "Fig 5 extension: steady-state periodic sync, bytes-on-wire per "
         "compression mode (wc98, eps=0.05, period=2000)",
-        {"mode", "pushes", "full/delta/rlz", "wire_bytes", "vs_full"});
+        {"mode", "pushes", "full/rlz", "wire_bytes", "vs_full"});
     const std::pair<const char*, CompressionMode> kModes[] = {
         {"full", CompressionMode::kFull},
-        {"delta", CompressionMode::kDelta},
         {"rlz", CompressionMode::kRlz},
-        {"auto", CompressionMode::kAuto},
     };
     uint64_t full_wire = 0;
     for (const auto& [name, mode] : kModes) {
@@ -142,16 +140,13 @@ void Run() {
         agg.Process(static_cast<int>(e.node) % sites, e.key, e.ts);
       }
       const CompressionStats cs = agg.compression_stats();
-      const uint64_t wire = mode == CompressionMode::kFull
-                                ? agg.stats().network.bytes
-                                : cs.wire_bytes;
+      const uint64_t wire = cs.wire_bytes;
       if (mode == CompressionMode::kFull) full_wire = wire;
       RecordBenchResult(std::string("fig5/compress/") + name,
                         /*events_per_sec=*/0.0,
                         static_cast<double>(wire));
       PrintRow({name, std::to_string(agg.stats().pushes),
                 std::to_string(cs.full_images) + "/" +
-                    std::to_string(cs.delta_images) + "/" +
                     std::to_string(cs.rlz_images),
                 std::to_string(wire),
                 FormatDouble(full_wire > 0
@@ -162,9 +157,8 @@ void Run() {
                     "x"});
     }
     std::printf(
-        "expected shape: rlz/auto cut steady-state bytes-on-wire by >=2x "
-        "vs full snapshots (the CI gate holds this line); delta wins only "
-        "when per-period increments touch few cells\n");
+        "expected shape: rlz cuts steady-state bytes-on-wire by >=2x vs "
+        "full snapshots (the CI gate holds this line)\n");
   }
 }
 

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/count_min.h"
 #include "src/core/ecm_sketch.h"
 #include "src/core/equiwidth_cm.h"
 #include "src/util/hash.h"
@@ -280,16 +279,6 @@ void BM_BucketsMixed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BucketsMixed)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_CountMinAdd(benchmark::State& state) {
-  CountMinSketch cm = CountMinSketch::FromErrorBounds(0.05, 0.1, 1);
-  Rng rng(4);
-  for (auto _ : state) {
-    cm.Add(rng.Uniform(100000));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CountMinAdd);
 
 }  // namespace
 }  // namespace ecm

@@ -94,21 +94,18 @@ void Run() {
       "budget; the stale view's error stays within the configured eps "
       "plus one staleness quantum of window content\n");
 
-  // Wire compression: the same periodic schedule with pushes routed
-  // through the delta/RLZ channel (dist/compress.h). wire_bytes is what
-  // actually ships; raw_bytes is what the same pushes cost as full
-  // snapshots. Every decoded image is verified bit-identical inside the
-  // channel, so the error columns above are unchanged by construction.
+  // Wire compression: the same periodic schedule with pushes shipped as
+  // RLZ images (dist/compress.h). wire_bytes is what actually ships;
+  // raw_bytes is what the same pushes cost as full snapshots. Both modes
+  // decode to the same full images, so the error columns above are
+  // unchanged by construction.
   PrintHeader(
-      "Wire compression: steady-state periodic pushes, full vs delta vs "
-      "RLZ vs auto (8 sites, period=2000)",
-      {"mode", "pushes", "full/delta/rlz", "wire_bytes", "raw_bytes",
-       "ratio"});
+      "Wire compression: steady-state periodic pushes, full vs RLZ "
+      "(8 sites, period=2000)",
+      {"mode", "pushes", "full/rlz", "wire_bytes", "raw_bytes", "ratio"});
   const std::pair<const char*, CompressionMode> kModes[] = {
       {"full", CompressionMode::kFull},
-      {"delta", CompressionMode::kDelta},
       {"rlz", CompressionMode::kRlz},
-      {"auto", CompressionMode::kAuto},
   };
   for (const auto& [name, mode] : kModes) {
     PeriodicAggregator::Config pcfg;
@@ -117,17 +114,10 @@ void Run() {
     PeriodicAggregator agg(kSites, *scfg, pcfg);
     for (const auto& e : events) agg.Process(e.node % kSites, e.key, e.ts);
     const CompressionStats cs = agg.compression_stats();
-    // kFull bypasses the channel; its wire volume is the transport's
-    // payload accounting and raw == wire by definition.
-    const uint64_t wire =
-        mode == CompressionMode::kFull ? agg.stats().network.bytes
-                                       : cs.wire_bytes;
-    const uint64_t raw =
-        mode == CompressionMode::kFull ? agg.stats().network.bytes
-                                       : cs.raw_bytes;
-    const std::string mix = std::to_string(cs.full_images) + "/" +
-                            std::to_string(cs.delta_images) + "/" +
-                            std::to_string(cs.rlz_images);
+    const uint64_t wire = cs.wire_bytes;
+    const uint64_t raw = cs.raw_bytes;
+    const std::string mix =
+        std::to_string(cs.full_images) + "/" + std::to_string(cs.rlz_images);
     RecordBenchResult(std::string("prop/compress/") + name,
                       /*events_per_sec=*/0.0,
                       static_cast<double>(wire));
@@ -139,10 +129,10 @@ void Run() {
                            3)});
   }
   std::printf(
-      "expected shape: delta/RLZ/auto wire_bytes well under the full "
-      "row (>=2x in steady state); the frame mix shows full images only "
-      "at stream start (and wherever the compressed form would exceed "
-      "the fallback threshold)\n");
+      "expected shape: rlz wire_bytes well under the full row (>=2x in "
+      "steady state); the frame mix shows full images only at stream "
+      "start (and wherever the RLZ form would exceed the fallback "
+      "threshold)\n");
 
   // Sharded multi-threaded ingest: scheduled propagation is site-local,
   // so ParallelIngest needs no sync barrier at all — pushes ship through

@@ -132,7 +132,6 @@ class EcmSketch {
     // depth must shrink the sketch, not overflow the array in Release.
     config_.depth = std::min(config_.depth, kMaxSketchDepth);
     counters_.reserve(NumCounters());
-    cell_version_.assign(NumCounters(), 0);
     auto counter_cfg = MakeCounterConfig<Counter>(config);
     for (size_t i = 0; i < NumCounters(); ++i) {
       if constexpr (std::is_same_v<Counter, RandomizedWave>) {
@@ -190,7 +189,6 @@ class EcmSketch {
     for (int j = 0; j < config_.depth; ++j) {
       const size_t idx = static_cast<size_t>(j) * config_.width + cols[j];
       counters_[idx].Add(use_ts, count);
-      cell_version_[idx] = version_;
     }
   }
 
@@ -527,10 +525,6 @@ class EcmSketch {
       merged.l1_lifetime_ += s->l1_lifetime_;
       merged.last_ts_ = std::max(merged.last_ts_, s->last_ts_);
     }
-    // A freshly merged sketch has all-new content: stamp every cell so
-    // delta propagation never mistakes it for an untouched base.
-    merged.version_ = 1;
-    for (auto& v : merged.cell_version_) v = 1;
     return merged;
   }
 
@@ -544,12 +538,7 @@ class EcmSketch {
     assert(config_.mode == WindowMode::kTimeBased && now >= last_ts_);
     last_ts_ = now;
     ++version_;
-    // Expire can drop buckets in any counter, so every cell's wire
-    // encoding may change: stamp them all dirty. Delta sync pays full
-    // price after an explicit AdvanceTo — the steady ingest paths
-    // (Site::Ingest, periodic/collect sync) never call it.
     for (auto& c : counters_) c.Expire(now);
-    for (auto& v : cell_version_) v = version_;
   }
 
   /// Total stream weight ever added (not windowed).
@@ -568,7 +557,6 @@ class EcmSketch {
   size_t MemoryBytes() const {
     size_t bytes = sizeof(*this);
     for (const auto& c : counters_) bytes += c.MemoryBytes();
-    bytes += cell_version_.capacity() * sizeof(uint64_t);
     return bytes;
   }
 
@@ -583,35 +571,9 @@ class EcmSketch {
   }
   Counter& CounterAt(int row, uint32_t col) {
     // Handing out a mutable counter (deserialization, tests) may change
-    // its contents, so the memoized window totals must not outlive it —
-    // and the cell must count as dirty for delta propagation.
+    // its contents, so the memoized window totals must not outlive it.
     ++version_;
-    const size_t idx = static_cast<size_t>(row) * config_.width + col;
-    cell_version_[idx] = version_;
-    return counters_[idx];
-  }
-
-  /// Monotone state-mutation stamp. Every Add/AdvanceTo/RestoreClock and
-  /// every mutable CounterAt access bumps it; the delta-propagation layer
-  /// (dist/compress.h) records it at ship time as the base version of the
-  /// next delta.
-  uint64_t version() const { return version_; }
-
-  /// Version stamp of the last mutation that touched counter cell `idx`
-  /// (row-major, as NumCounters() indexes them); 0 if never touched.
-  uint64_t CellVersion(size_t idx) const { return cell_version_[idx]; }
-
-  /// Appends (row-major) indices of every cell mutated after
-  /// `base_version`, in increasing order — the dirty set a delta image
-  /// ships. A sketch restored by deserialization stamps all written cells
-  /// via mutable CounterAt, so deltas compose across the wire.
-  void AppendDirtyCells(uint64_t base_version,
-                        std::vector<uint32_t>* out) const {
-    for (size_t i = 0; i < cell_version_.size(); ++i) {
-      if (cell_version_[i] > base_version) {
-        out->push_back(static_cast<uint32_t>(i));
-      }
-    }
+    return counters_[static_cast<size_t>(row) * config_.width + col];
   }
 
  private:
@@ -662,9 +624,6 @@ class EcmSketch {
   EcmConfig config_;
   HashFamily hashes_;
   std::vector<Counter> counters_;  // row-major depth × width
-  // Per-cell dirty stamp: version_ at the cell's last mutation. Parallel
-  // to counters_, read by AppendDirtyCells for delta propagation.
-  std::vector<uint64_t> cell_version_;
   uint64_t arrivals_ = 0;  // count-based arrival index
   Timestamp last_ts_ = 0;
   uint64_t l1_lifetime_ = 0;

@@ -51,8 +51,6 @@ const char* SketchWireKindName(SketchWireKind kind) {
   switch (kind) {
     case SketchWireKind::kFull:
       return "full";
-    case SketchWireKind::kDelta:
-      return "delta";
     case SketchWireKind::kRlz:
       return "rlz";
   }

@@ -1,27 +1,24 @@
-// Compressed sketch propagation (the paper's error-vs-network frontier,
-// attacked from the network side): successive wire images of the same
-// site's sketch are highly self-similar, so instead of re-shipping a full
-// SerializeSketch image every sync, a sender/receiver channel pair ships
+// Sketch propagation channels (the paper's error-vs-network frontier,
+// attacked from the network side). Every sketch a coordinator merges
+// reaches it through one sender/receiver pair, as either
 //
-//   * delta images ("ECMD", dist/serialize.h) — only the counter cells
-//     mutated since the last propagation, located by EcmSketch's per-cell
-//     version stamps; or
-//   * RLZ images ("ECMZ", this header) — the full image greedily
-//     factorized against the previously shipped one as copy(offset, len)
-//     and literal ops (relative Lempel-Ziv, cf. rlz-store's factorizor);
+//   * a full image ("ECMS", dist/serialize.h); or
+//   * an RLZ image ("ECMZ", this header): successive wire images of the
+//     same site's sketch are highly self-similar, so the full image is
+//     greedily factorized against the previously shipped one as
+//     copy(offset, len) and literal ops (relative Lempel-Ziv, cf.
+//     rlz-store's factorizor).
 //
-// falling back to full snapshots whenever the compressed form stops
+// The sender falls back to a full image whenever the RLZ form stops
 // paying for itself (content drift past `max_compressed_fraction`) or the
 // receiver's base is unknown (first contact, channel reset, transport
 // rejoin epoch change).
 //
 // Correctness contract, enforced end-to-end rather than assumed: every
-// delta and RLZ image carries the FNV-1a checksum of both the base image
-// it was encoded against and the full image it must decode to. A receiver
-// on the wrong base rejects with StatusCode::kStaleBase (never a silent
-// wrong merge), and a decoded image that is not bit-identical to the
-// sender's full snapshot is rejected after the fact. Malformed bytes fail
-// with kCorruption before any state mutation.
+// RLZ image carries the FNV-1a checksum of the reference it was encoded
+// against and of its own payload. A receiver on the wrong reference
+// rejects with StatusCode::kStaleBase (never a silent wrong merge), and
+// malformed bytes fail with kCorruption before any state mutation.
 
 #ifndef ECM_DIST_COMPRESS_H_
 #define ECM_DIST_COMPRESS_H_
@@ -79,32 +76,30 @@ Result<std::vector<uint8_t>> RlzDecode(const uint8_t* data, size_t size,
 
 /// What a shipped wire image contains. Values are stable wire constants
 /// (SocketTransport maps them 1:1 onto frame types).
+/// Value 2 (a retired dirty-cell delta format) is not reused.
 enum class SketchWireKind : uint8_t {
-  kFull = 1,   ///< SerializeSketch bytes ("ECMS")
-  kDelta = 2,  ///< dirty-cell delta ("ECMD")
-  kRlz = 3,    ///< reference-compressed full image ("ECMZ")
+  kFull = 1,  ///< SerializeSketch bytes ("ECMS")
+  kRlz = 3,   ///< reference-compressed full image ("ECMZ")
 };
 
 const char* SketchWireKindName(SketchWireKind kind);
 
-/// Which compressed forms a sender may choose from. Fallback to kFull is
-/// always allowed (and forced on the first image, after Reset, and past
-/// the compressibility threshold).
+/// Whether a sender may ship RLZ images. kRlz still falls back to kFull
+/// on the first image, after Reset, and past the compressibility
+/// threshold.
 enum class CompressionMode : uint8_t {
-  kFull = 0,   ///< always ship full snapshots (the pre-compression wire)
-  kDelta = 1,  ///< dirty-cell deltas, full fallback
-  kRlz = 2,    ///< RLZ against the previous image, full fallback
-  kAuto = 3,   ///< smallest of delta/RLZ per image, full fallback
+  kFull = 0,  ///< always ship full snapshots
+  kRlz = 2,   ///< RLZ against the previous image, full fallback
 };
 
 struct CompressionOptions {
-  CompressionMode mode = CompressionMode::kAuto;
+  CompressionMode mode = CompressionMode::kRlz;
   /// A compressed image is shipped only if it is smaller than this
   /// fraction of the full snapshot; otherwise the full image goes out
   /// (drifted-too-far fallback, and it re-bases the channel).
   double max_compressed_fraction = 0.9;
   /// Transport rejoin epoch stamped into every compressed image. Bump on
-  /// crash/rejoin (SocketTransport Options::epoch) so stale-base deltas
+  /// crash/rejoin (SocketTransport Options::epoch) so stale-base images
   /// from before the crash can never apply.
   uint64_t epoch = 1;
 };
@@ -112,6 +107,8 @@ struct CompressionOptions {
 /// Wire-volume accounting of one channel endpoint.
 struct CompressionStats {
   uint64_t full_images = 0;
+  /// Always 0: the delta format is retired. Kept because the benchmark's
+  /// stats reader still reports the field.
   uint64_t delta_images = 0;
   uint64_t rlz_images = 0;
   uint64_t wire_bytes = 0;  ///< bytes actually shipped
@@ -125,12 +122,10 @@ struct SketchWireImage {
   std::vector<uint8_t> bytes;
 };
 
-/// Sender half of a compressed propagation channel. Tracks the last
-/// shipped full image (the reference/base) and the sketch version it
-/// captured; each Ship() encodes the sketch's current state in the
-/// cheapest permitted form. One sender instance per (site sketch,
-/// receiver) pair — it must keep shipping the same live sketch object,
-/// whose version stamps its base refers to.
+/// Sender half of a propagation channel. Tracks the last shipped full
+/// image (the reference/base); each Ship() encodes the sketch's current
+/// state in the cheapest permitted form. One sender instance per (site
+/// sketch, receiver) pair.
 template <SlidingWindowCounter Counter>
 class SketchSender {
  public:
@@ -145,36 +140,19 @@ class SketchSender {
     img.kind = SketchWireKind::kFull;
     const size_t budget = static_cast<size_t>(
         static_cast<double>(full.size()) * opts_.max_compressed_fraction);
-    if (has_base_ && opts_.mode != CompressionMode::kFull) {
-      if (opts_.mode == CompressionMode::kDelta ||
-          opts_.mode == CompressionMode::kAuto) {
-        std::vector<uint8_t> delta = SerializeSketchDelta(
-            sketch, base_version_, opts_.epoch, reference_, full);
-        if (delta.size() < budget) {
-          img.kind = SketchWireKind::kDelta;
-          img.bytes = std::move(delta);
-        }
-      }
-      if (opts_.mode == CompressionMode::kRlz ||
-          opts_.mode == CompressionMode::kAuto) {
-        std::vector<uint8_t> rlz =
-            RlzEncode(reference_, full.data(), full.size(), opts_.epoch);
-        if (rlz.size() < budget &&
-            (img.kind == SketchWireKind::kFull ||
-             rlz.size() < img.bytes.size())) {
-          img.kind = SketchWireKind::kRlz;
-          img.bytes = std::move(rlz);
-        }
+    if (has_base_ && opts_.mode == CompressionMode::kRlz) {
+      std::vector<uint8_t> rlz =
+          RlzEncode(reference_, full.data(), full.size(), opts_.epoch);
+      if (rlz.size() < budget) {
+        img.kind = SketchWireKind::kRlz;
+        img.bytes = std::move(rlz);
       }
     }
-    base_version_ = sketch.version();
     reference_ = full;
     has_base_ = true;
     if (img.kind == SketchWireKind::kFull) {
       img.bytes = std::move(full);
       ++stats_.full_images;
-    } else if (img.kind == SketchWireKind::kDelta) {
-      ++stats_.delta_images;
     } else {
       ++stats_.rlz_images;
     }
@@ -199,16 +177,15 @@ class SketchSender {
  private:
   CompressionOptions opts_;
   bool has_base_ = false;
-  uint64_t base_version_ = 0;      // sketch.version() at the last Ship
-  std::vector<uint8_t> reference_;  // full image shipped/implied last
+  std::vector<uint8_t> reference_;  // full image shipped last
   CompressionStats stats_;
 };
 
 /// Receiver half: decodes images back into a live sketch, maintaining the
-/// same reference chain as the sender. Any kStaleBase/kCorruption outcome
-/// leaves a consistent state; after a non-OK Receive the caller should
-/// request (or wait for) a full snapshot — deltas keep rejecting until
-/// one arrives.
+/// same reference chain as the sender. Any non-OK outcome leaves the
+/// receiver untouched; after a kStaleBase the caller should request (or
+/// wait for) a full snapshot — RLZ images keep rejecting until one
+/// arrives.
 ///
 /// Replay hardening: delivery is at-least-once under retransmitting
 /// transports (a retry after a send timeout, or SocketTransport's
@@ -237,27 +214,6 @@ class SketchReceiver {
         if (!sketch.ok()) return sketch.status();
         base_.emplace(std::move(*sketch));
         reference_.assign(data, data + size);
-        has_version_ = false;
-        NoteApplied(kind, data, size);
-        return &*base_;
-      }
-      case SketchWireKind::kDelta: {
-        if (!base_.has_value()) {
-          return Status::StaleBase("delta image before any full snapshot");
-        }
-        SketchDeltaInfo info;
-        auto full = ApplySketchDelta<Counter>(
-            data, size, opts_.epoch, reference_, &*base_,
-            has_version_ ? &base_version_ : nullptr, &info);
-        if (!full.ok()) {
-          // A post-image mismatch mutated the sketch before failing; the
-          // stale/corrupt rejections leave it untouched.
-          if (full.status().code() == StatusCode::kInternal) Reset();
-          return full.status();
-        }
-        reference_ = std::move(*full);
-        base_version_ = info.new_version;
-        has_version_ = true;
         NoteApplied(kind, data, size);
         return &*base_;
       }
@@ -268,7 +224,6 @@ class SketchReceiver {
         if (!sketch.ok()) return sketch.status();
         base_.emplace(std::move(*sketch));
         reference_ = std::move(*full);
-        has_version_ = false;
         NoteApplied(kind, data, size);
         return &*base_;
       }
@@ -281,7 +236,6 @@ class SketchReceiver {
   void Reset() {
     base_.reset();
     reference_.clear();
-    has_version_ = false;
     has_last_ = false;
   }
 
@@ -321,8 +275,6 @@ class SketchReceiver {
   CompressionOptions opts_;
   std::optional<EcmSketch<Counter>> base_;
   std::vector<uint8_t> reference_;
-  uint64_t base_version_ = 0;  // sender version chain (delta only)
-  bool has_version_ = false;
   // Fingerprint of the last applied image, for duplicate absorption.
   bool has_last_ = false;
   SketchWireKind last_kind_ = SketchWireKind::kFull;

@@ -7,11 +7,12 @@
 // by at most one trigger interval (the bandwidth/freshness trade-off the
 // structure exists for).
 //
-// Built on the shared runtime substrate: sites are runtime Sites, pushes
-// ship their exact dist/serialize wire size through the Transport, and
-// every per-site tally lives with the site — so ParallelIngest can drive
-// Process() from one worker per site shard with no locking (a push only
-// writes the pushing site's own snapshot slot; the merged coordinator
+// Built on the shared runtime substrate: sites are runtime Sites, every
+// push ships through the site's sender/receiver channel
+// (dist/compress.h) and charges its exact wire size to the Transport,
+// and every per-site tally lives with the site — so ParallelIngest can
+// drive Process() from one worker per site shard with no locking (a push
+// only writes the pushing site's own channel; the merged coordinator
 // view is keyed on the global push count and rebuilt lazily at query
 // time, after ingest quiesces).
 
@@ -29,7 +30,6 @@
 #include "src/dist/compress.h"
 #include "src/dist/network_stats.h"
 #include "src/dist/runtime.h"
-#include "src/dist/serialize.h"
 #include "src/dist/transport.h"
 #include "src/util/result.h"
 #include "src/util/status.h"
@@ -47,13 +47,9 @@ class PeriodicAggregatorT {
     /// Push whenever the site's windowed L1 estimate moved by this
     /// fraction (relative to its value at the last push; 0 = disabled).
     double drift_fraction = 0.0;
-    /// Wire compression of pushed snapshots (dist/compress.h). The
-    /// default kFull keeps the pre-compression behavior: snapshots are
-    /// charged at full SerializeSketch size and copied directly. Any
-    /// other mode routes every push through a per-site sender/receiver
-    /// channel pair: deltas/RLZ images on the wire, and the coordinator
-    /// snapshot is the receiver-decoded sketch (verified bit-identical
-    /// to the full image).
+    /// Wire compression of pushed snapshots (dist/compress.h): kFull
+    /// ships full images, kRlz RLZ images. Either way the coordinator's
+    /// snapshot of a site is the sketch its receiver decoded.
     CompressionOptions compression{CompressionMode::kFull};
   };
 
@@ -87,7 +83,7 @@ class PeriodicAggregatorT {
     site.node.Ingest(key, ts, count);
     ++site.updates;
 
-    if (!site.snapshot.has_value()) {
+    if (site.pushes == 0) {
       Push(&site, PushKind::kInitial);
       return true;
     }
@@ -143,14 +139,12 @@ class PeriodicAggregatorT {
     return s;
   }
 
-  /// Aggregated sender-side accounting of the compression channels
-  /// (all-zero in CompressionMode::kFull).
+  /// Aggregated sender-side accounting of the sites' channels.
   CompressionStats compression_stats() const {
     CompressionStats total;
     for (const SiteState& site : sites_) {
       const CompressionStats& s = site.sender.stats();
       total.full_images += s.full_images;
-      total.delta_images += s.delta_images;
       total.rlz_images += s.rlz_images;
       total.wire_bytes += s.wire_bytes;
       total.raw_bytes += s.raw_bytes;
@@ -182,9 +176,10 @@ class PeriodicAggregatorT {
     SiteState(NodeId id, const EcmConfig& cfg, const CompressionOptions& copts)
         : node(id, cfg), sender(copts), receiver(copts) {}
     Site<Counter> node;
-    SketchSender<Counter> sender;      // compressed-push channel (unused
-    SketchReceiver<Counter> receiver;  // in CompressionMode::kFull)
-    std::optional<EcmSketch<Counter>> snapshot;
+    // The push channel; receiver.sketch() is the coordinator's snapshot.
+    SketchSender<Counter> sender;
+    SketchReceiver<Counter> receiver;
+    Status push_status;  ///< failure of the last push, if it had one
     Timestamp last_push_ts = 0;
     double pushed_l1 = 0.0;  ///< windowed L1 estimate at the last push
     uint64_t updates = 0;
@@ -196,31 +191,20 @@ class PeriodicAggregatorT {
 
   void Push(SiteState* site, PushKind kind) {
     const EcmSketch<Counter>& local = site->node.sketch();
-    size_t wire;
-    if (config_.compression.mode == CompressionMode::kFull) {
-      site->snapshot = local;  // models serialize -> wire -> deserialize
-      wire = SketchWireSize(local);
-      transport_->Send(site->node.id(), kCoordinatorNode, wire);
-    } else {
-      SketchWireImage img = site->sender.Ship(local);
-      auto decoded = site->receiver.Receive(img.kind, img.bytes.data(),
-                                            img.bytes.size());
-      if (!decoded.ok()) {
-        // In-process the channel cannot desync; resync defensively with a
-        // full snapshot so propagation never wedges.
-        site->sender.Reset();
-        img = site->sender.Ship(local);
-        decoded = site->receiver.Receive(img.kind, img.bytes.data(),
-                                         img.bytes.size());
-      }
-      if (decoded.ok()) {
-        site->snapshot = **decoded;
-      } else {
-        site->snapshot = local;
-      }
-      wire = img.bytes.size();
-      transport_->Send(site->node.id(), kCoordinatorNode, wire);
+    SketchWireImage img = site->sender.Ship(local);
+    auto decoded =
+        site->receiver.Receive(img.kind, img.bytes.data(), img.bytes.size());
+    if (!decoded.ok()) {
+      // In-process the channel cannot desync; resync defensively with a
+      // full snapshot so propagation never wedges.
+      site->sender.Reset();
+      img = site->sender.Ship(local);
+      decoded =
+          site->receiver.Receive(img.kind, img.bytes.data(), img.bytes.size());
     }
+    site->push_status = decoded.ok() ? Status::OK() : decoded.status();
+    const size_t wire = img.bytes.size();
+    transport_->Send(site->node.id(), kCoordinatorNode, wire);
     site->last_push_ts = local.Now();
     site->pushed_l1 = local.EstimateL1(sketch_config_.window_len);
     ++site->pushes;
@@ -239,12 +223,13 @@ class PeriodicAggregatorT {
     std::vector<const EcmSketch<Counter>*> snapshots;
     snapshots.reserve(sites_.size());
     for (const SiteState& site : sites_) {
-      if (!site.snapshot.has_value()) {
+      if (!site.push_status.ok()) return site.push_status;
+      if (site.receiver.sketch() == nullptr) {
         return Status::InvalidArgument(
             "PeriodicAggregator: some site has never pushed; call SyncAll() "
             "or wait for its first arrival");
       }
-      snapshots.push_back(&*site.snapshot);
+      snapshots.push_back(site.receiver.sketch());
     }
     auto merged = EcmSketch<Counter>::Merge(
         snapshots, sketch_config_.epsilon_sw, sketch_config_.seed);

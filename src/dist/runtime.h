@@ -8,7 +8,8 @@
 //    per-arrival and batched ingest. Exactly one ParallelIngest worker
 //    ever touches a site, so sites need no locks.
 //  * Coordinator<Counter> — owns the sites and the global views: flat
-//    collect-and-merge (§5.3) and balanced-tree aggregation (§5.1), both
+//    collect-and-merge (§5.3), which merges the images its per-site
+//    receivers decoded, and balanced-tree aggregation (§5.1), both
 //    shipping through the Transport.
 //  * ParallelIngest     — the sharded multi-threaded ingest driver: one
 //    worker per site shard (site s belongs to shard s mod workers),
@@ -33,7 +34,6 @@
 #include "src/core/ecm_sketch.h"
 #include "src/dist/aggregation_tree.h"
 #include "src/dist/compress.h"
-#include "src/dist/serialize.h"
 #include "src/dist/site.h"
 #include "src/dist/transport.h"
 #include "src/stream/event.h"
@@ -61,6 +61,7 @@ class Coordinator {
     for (int i = 0; i < num_sites; ++i) {
       sites_.emplace_back(i, config_, site_options);
     }
+    EnableCompression(CompressionOptions{CompressionMode::kFull});
   }
 
   int num_sites() const { return static_cast<int>(sites_.size()); }
@@ -72,12 +73,10 @@ class Coordinator {
   Transport& transport() { return *transport_; }
   const Transport& transport() const { return *transport_; }
 
-  /// Enables compressed propagation for CollectAndMerge: every site gets
-  /// a persistent sender/receiver channel pair (dist/compress.h), so
-  /// repeated collects ship delta/RLZ images instead of full snapshots.
-  /// The merged view is built from the receiver-decoded sketches — the
-  /// exact state a remote coordinator would reconstruct — which the
-  /// channels verify bit-identical to the full images.
+  /// Replaces every site's sender/receiver channel pair
+  /// (dist/compress.h) with one built from `options`. Channels start in
+  /// CompressionMode::kFull; with kRlz repeated collects ship RLZ images
+  /// instead of full snapshots.
   void EnableCompression(const CompressionOptions& options) {
     channels_.clear();
     channels_.reserve(sites_.size());
@@ -90,7 +89,6 @@ class Coordinator {
     for (const Channel& ch : channels_) {
       const CompressionStats& s = ch.sender.stats();
       total.full_images += s.full_images;
-      total.delta_images += s.delta_images;
       total.rlz_images += s.rlz_images;
       total.wire_bytes += s.wire_bytes;
       total.raw_bytes += s.raw_bytes;
@@ -98,30 +96,20 @@ class Coordinator {
     return total;
   }
 
-  /// Flat §5.3 aggregation: every site ships its serialized sketch to the
-  /// coordinator (n messages at exact wire size; payload-carrying
-  /// transports deliver the bytes verbatim), which merges them
-  /// order-preservingly with window error parameter `eps_prime_sw`
-  /// (defaults to the sites' own ε_sw). With EnableCompression the
-  /// shipped images are delta/RLZ-compressed against the previous
-  /// collect and decoded back through the receiver channels.
+  /// Flat §5.3 aggregation: every site ships its sketch through its
+  /// channel to the coordinator (n messages at exact wire size;
+  /// payload-carrying transports deliver the bytes verbatim), which
+  /// merges the receiver-decoded sketches order-preservingly with window
+  /// error parameter `eps_prime_sw` (defaults to the sites' own ε_sw).
   Result<EcmSketch<Counter>> CollectAndMerge(double eps_prime_sw = -1.0,
                                              uint64_t seed = 0) const {
     const double eps = eps_prime_sw > 0.0 ? eps_prime_sw : config_.epsilon_sw;
     std::vector<const EcmSketch<Counter>*> ptrs;
     ptrs.reserve(sites_.size());
-    if (!channels_.empty()) {
-      for (size_t i = 0; i < sites_.size(); ++i) {
-        auto decoded = ShipThroughChannel(i);
-        if (!decoded.ok()) return decoded.status();
-        ptrs.push_back(*decoded);
-      }
-      return EcmSketch<Counter>::Merge(ptrs, eps, seed);
-    }
-    for (const auto& s : sites_) {
-      const std::vector<uint8_t> wire = SerializeSketch(s.sketch());
-      transport_->Send(s.id(), kCoordinatorNode, wire.data(), wire.size());
-      ptrs.push_back(&s.sketch());
+    for (size_t i = 0; i < sites_.size(); ++i) {
+      auto decoded = ShipThroughChannel(i);
+      if (!decoded.ok()) return decoded.status();
+      ptrs.push_back(*decoded);
     }
     return EcmSketch<Counter>::Merge(ptrs, eps, seed);
   }
@@ -171,9 +159,9 @@ class Coordinator {
   Transport* transport_;
   std::unique_ptr<Transport> owned_transport_;
   std::vector<Site<Counter>> sites_;
-  // Per-site compression channels (empty = uncompressed propagation).
-  // `mutable` because CollectAndMerge is logically const on the sites
-  // but advances the channels' reference chain.
+  // One propagation channel per site. `mutable` because CollectAndMerge
+  // is logically const on the sites but advances the channels' reference
+  // chain.
   mutable std::vector<Channel> channels_;
 };
 

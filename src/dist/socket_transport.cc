@@ -40,8 +40,9 @@ constexpr size_t kCrcOffset = kLenOffset + 4;
 constexpr size_t kChecksummedHeaderBytes = kCrcOffset - kChecksummedOffset;
 
 bool ValidFrameType(uint8_t t) {
-  return t >= static_cast<uint8_t>(FrameType::kHello) &&
-         t <= static_cast<uint8_t>(FrameType::kSketchRlz);
+  return (t >= static_cast<uint8_t>(FrameType::kHello) &&
+          t <= static_cast<uint8_t>(FrameType::kDone)) ||
+         t == static_cast<uint8_t>(FrameType::kSketchRlz);
 }
 
 // Errnos a retry against the same peer can plausibly outlive: the peer

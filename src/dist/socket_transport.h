@@ -73,8 +73,8 @@ enum class FrameType : uint8_t {
   kVector = 4,     ///< statistics vector (geometric-monitor sync)
   kBlob = 5,       ///< opaque payload (accounting parity with loopback)
   kDone = 6,       ///< site finished its shard; payload = final snapshot
-  kSketchDelta = 7,  ///< dirty-cell delta image ("ECMD", dist/serialize.h)
-  kSketchRlz = 8,    ///< reference-compressed image ("ECMZ", dist/compress.h)
+  // 7 was a retired dirty-cell delta image; decoders reject it.
+  kSketchRlz = 8,  ///< reference-compressed image ("ECMZ", dist/compress.h)
 };
 
 /// One wire message.

@@ -1,10 +1,9 @@
-// Tests for the compressed propagation layer (dist/compress.h +
-// dist/serialize.h delta images):
-//  * the differential gate — delta ∘ base and rlz ∘ reference decode
-//    bit-identically to full SerializeSketch snapshots on randomized
-//    streams, chained across many syncs and for every CompressionMode;
+// Tests for the sketch propagation channels (dist/compress.h):
+//  * the differential gate — rlz ∘ reference decodes bit-identically to
+//    full SerializeSketch snapshots on randomized streams, chained across
+//    many syncs, for every CompressionMode and counter type;
 //  * stale-base / rejoin-epoch safety — wrong bases, wrong epochs and
-//    replayed deltas reject with kStaleBase, never a silent wrong merge;
+//    replayed images reject with kStaleBase, never a silent wrong merge;
 //  * hostile-input fuzz — truncation sweeps, bit flips and forged copy
 //    ops reject cleanly with no out-of-bounds access.
 
@@ -18,6 +17,7 @@
 #include "src/dist/serialize.h"
 #include "src/stream/generators.h"
 #include "src/util/random.h"
+#include "src/window/deterministic_wave.h"
 #include "src/window/exponential_histogram.h"
 #include "src/window/randomized_wave.h"
 
@@ -45,105 +45,6 @@ void Feed(EcmSketch<Counter>* sketch, int n, uint64_t seed, Timestamp* ts) {
     *ts += rng.Next() % 3;
     sketch->Add(e.key, *ts);
   }
-}
-
-// --- delta images: raw API ------------------------------------------------
-
-template <typename Counter>
-void DeltaRoundTripImpl() {
-  auto sender = MakeSketch<Counter>();
-  Timestamp ts = 1;
-  Feed(&sender, 400, 11, &ts);
-  const std::vector<uint8_t> base_image = SerializeSketch(sender);
-  const uint64_t base_version = sender.version();
-
-  auto receiver = DeserializeSketch<Counter>(base_image.data(),
-                                             base_image.size());
-  ASSERT_TRUE(receiver.ok()) << receiver.status();
-
-  Feed(&sender, 60, 12, &ts);
-  const std::vector<uint8_t> new_image = SerializeSketch(sender);
-  const std::vector<uint8_t> delta = SerializeSketchDelta(
-      sender, base_version, /*epoch=*/1, base_image, new_image);
-  // A small increment must beat re-shipping the whole grid.
-  EXPECT_LT(delta.size(), new_image.size());
-
-  SketchDeltaInfo info;
-  auto full = ApplySketchDelta<Counter>(delta.data(), delta.size(),
-                                        /*expected_epoch=*/1, base_image,
-                                        &*receiver, nullptr, &info);
-  ASSERT_TRUE(full.ok()) << full.status();
-  EXPECT_EQ(*full, new_image);
-  EXPECT_EQ(SerializeSketch(*receiver), new_image);
-  EXPECT_EQ(info.base_version, base_version);
-  EXPECT_EQ(info.new_version, sender.version());
-}
-
-TEST(SketchDeltaTest, RoundTripMatchesFullImageEh) {
-  DeltaRoundTripImpl<ExponentialHistogram>();
-}
-
-TEST(SketchDeltaTest, RoundTripMatchesFullImageRw) {
-  DeltaRoundTripImpl<RandomizedWave>();
-}
-
-TEST(SketchDeltaTest, RejectsWrongBaseImage) {
-  auto sender = MakeSketch<ExponentialHistogram>();
-  Timestamp ts = 1;
-  Feed(&sender, 200, 21, &ts);
-  const std::vector<uint8_t> base_image = SerializeSketch(sender);
-  const uint64_t base_version = sender.version();
-  Feed(&sender, 50, 22, &ts);
-  const std::vector<uint8_t> new_image = SerializeSketch(sender);
-  const std::vector<uint8_t> delta =
-      SerializeSketchDelta(sender, base_version, 1, base_image, new_image);
-
-  // A receiver whose state (and thus base image) differs must refuse.
-  auto other = MakeSketch<ExponentialHistogram>();
-  Timestamp ts2 = 1;
-  Feed(&other, 150, 99, &ts2);
-  const std::vector<uint8_t> other_image = SerializeSketch(other);
-  auto applied = ApplySketchDelta<ExponentialHistogram>(
-      delta.data(), delta.size(), 1, other_image, &other);
-  ASSERT_FALSE(applied.ok());
-  EXPECT_EQ(applied.status().code(), StatusCode::kStaleBase);
-  // The rejected apply must not have mutated the receiver.
-  EXPECT_EQ(SerializeSketch(other), other_image);
-}
-
-TEST(SketchDeltaTest, RejectsWrongEpochAndReplay) {
-  auto sender = MakeSketch<ExponentialHistogram>();
-  Timestamp ts = 1;
-  Feed(&sender, 200, 31, &ts);
-  const std::vector<uint8_t> base_image = SerializeSketch(sender);
-  const uint64_t base_version = sender.version();
-  auto receiver =
-      DeserializeSketch<ExponentialHistogram>(base_image.data(),
-                                              base_image.size());
-  ASSERT_TRUE(receiver.ok());
-  Feed(&sender, 40, 32, &ts);
-  const std::vector<uint8_t> new_image = SerializeSketch(sender);
-  const std::vector<uint8_t> delta =
-      SerializeSketchDelta(sender, base_version, /*epoch=*/3, base_image,
-                           new_image);
-
-  // Wrong rejoin epoch: refuse before touching the base.
-  auto wrong_epoch = ApplySketchDelta<ExponentialHistogram>(
-      delta.data(), delta.size(), /*expected_epoch=*/4, base_image,
-      &*receiver);
-  ASSERT_FALSE(wrong_epoch.ok());
-  EXPECT_EQ(wrong_epoch.status().code(), StatusCode::kStaleBase);
-
-  // Correct epoch applies...
-  auto ok = ApplySketchDelta<ExponentialHistogram>(
-      delta.data(), delta.size(), 3, base_image, &*receiver);
-  ASSERT_TRUE(ok.ok()) << ok.status();
-  // ...and replaying the same delta against the advanced base refuses
-  // (the base image no longer matches what the delta was encoded against).
-  auto replay = ApplySketchDelta<ExponentialHistogram>(
-      delta.data(), delta.size(), 3, *ok, &*receiver);
-  ASSERT_FALSE(replay.ok());
-  EXPECT_EQ(replay.status().code(), StatusCode::kStaleBase);
 }
 
 // --- RLZ codec ------------------------------------------------------------
@@ -197,29 +98,6 @@ TEST(RlzTest, RejectsWrongReferenceAndEpoch) {
 // --- hostile-input fuzz ---------------------------------------------------
 
 // Every truncation of a valid image must reject; no prefix may decode.
-TEST(CompressFuzzTest, DeltaTruncationSweep) {
-  auto sender = MakeSketch<ExponentialHistogram>();
-  Timestamp ts = 1;
-  Feed(&sender, 120, 51, &ts);
-  const std::vector<uint8_t> base_image = SerializeSketch(sender);
-  const uint64_t base_version = sender.version();
-  Feed(&sender, 20, 52, &ts);
-  const std::vector<uint8_t> new_image = SerializeSketch(sender);
-  const std::vector<uint8_t> delta =
-      SerializeSketchDelta(sender, base_version, 1, base_image, new_image);
-
-  for (size_t len = 0; len < delta.size(); ++len) {
-    auto receiver = DeserializeSketch<ExponentialHistogram>(
-        base_image.data(), base_image.size());
-    ASSERT_TRUE(receiver.ok());
-    auto applied = ApplySketchDelta<ExponentialHistogram>(
-        delta.data(), len, 1, base_image, &*receiver);
-    EXPECT_FALSE(applied.ok()) << "prefix of " << len << " bytes decoded";
-    EXPECT_EQ(SerializeSketch(*receiver), base_image)
-        << "truncated delta mutated the receiver at len " << len;
-  }
-}
-
 TEST(CompressFuzzTest, RlzTruncationSweep) {
   auto sketch = MakeSketch<ExponentialHistogram>();
   Timestamp ts = 1;
@@ -236,34 +114,6 @@ TEST(CompressFuzzTest, RlzTruncationSweep) {
 
 // Flipping any single byte must never decode to different content than
 // the original image (the checksum makes rejection the expected outcome).
-TEST(CompressFuzzTest, DeltaBitFlipSweep) {
-  auto sender = MakeSketch<ExponentialHistogram>();
-  Timestamp ts = 1;
-  Feed(&sender, 120, 55, &ts);
-  const std::vector<uint8_t> base_image = SerializeSketch(sender);
-  const uint64_t base_version = sender.version();
-  Feed(&sender, 20, 56, &ts);
-  const std::vector<uint8_t> new_image = SerializeSketch(sender);
-  const std::vector<uint8_t> delta =
-      SerializeSketchDelta(sender, base_version, 1, base_image, new_image);
-
-  for (size_t i = 0; i < delta.size(); ++i) {
-    std::vector<uint8_t> mutated = delta;
-    mutated[i] ^= 0x41;
-    auto receiver = DeserializeSketch<ExponentialHistogram>(
-        base_image.data(), base_image.size());
-    ASSERT_TRUE(receiver.ok());
-    auto applied = ApplySketchDelta<ExponentialHistogram>(
-        mutated.data(), mutated.size(), 1, base_image, &*receiver);
-    if (applied.ok()) {
-      EXPECT_EQ(*applied, new_image) << "flip at " << i << " silently merged";
-    } else {
-      EXPECT_EQ(SerializeSketch(*receiver), base_image)
-          << "rejected flip at " << i << " mutated the receiver";
-    }
-  }
-}
-
 TEST(CompressFuzzTest, RlzBitFlipSweep) {
   auto sketch = MakeSketch<ExponentialHistogram>();
   Timestamp ts = 1;
@@ -360,10 +210,10 @@ void ChannelDifferentialImpl(CompressionMode mode) {
         << "round " << round << " kind " << SketchWireKindName(img.kind);
   }
   const CompressionStats& st = sender.stats();
-  EXPECT_EQ(st.full_images + st.delta_images + st.rlz_images, 25u);
+  EXPECT_EQ(st.full_images + st.rlz_images, 25u);
   if (mode != CompressionMode::kFull) {
     // Steady-state small increments must actually compress.
-    EXPECT_GT(st.delta_images + st.rlz_images, 0u);
+    EXPECT_GT(st.rlz_images, 0u);
     EXPECT_LT(st.wire_bytes, st.raw_bytes);
   }
 }
@@ -371,44 +221,63 @@ void ChannelDifferentialImpl(CompressionMode mode) {
 TEST(SketchChannelTest, DifferentialFullEh) {
   ChannelDifferentialImpl<ExponentialHistogram>(CompressionMode::kFull);
 }
-TEST(SketchChannelTest, DifferentialDeltaEh) {
-  ChannelDifferentialImpl<ExponentialHistogram>(CompressionMode::kDelta);
-}
 TEST(SketchChannelTest, DifferentialRlzEh) {
   ChannelDifferentialImpl<ExponentialHistogram>(CompressionMode::kRlz);
 }
-TEST(SketchChannelTest, DifferentialAutoEh) {
-  ChannelDifferentialImpl<ExponentialHistogram>(CompressionMode::kAuto);
+TEST(SketchChannelTest, DifferentialRlzDw) {
+  ChannelDifferentialImpl<DeterministicWave>(CompressionMode::kRlz);
 }
-TEST(SketchChannelTest, DifferentialDeltaRw) {
-  ChannelDifferentialImpl<RandomizedWave>(CompressionMode::kDelta);
-}
-TEST(SketchChannelTest, DifferentialAutoRw) {
-  ChannelDifferentialImpl<RandomizedWave>(CompressionMode::kAuto);
+TEST(SketchChannelTest, DifferentialRlzRw) {
+  ChannelDifferentialImpl<RandomizedWave>(CompressionMode::kRlz);
 }
 
-TEST(SketchChannelTest, ReceiverRejectsDeltaBeforeFirstSnapshot) {
+TEST(SketchChannelTest, ReceiverRejectsRlzBeforeFirstSnapshot) {
   CompressionOptions opts;
-  opts.mode = CompressionMode::kDelta;
+  opts.mode = CompressionMode::kRlz;
   SketchSender<ExponentialHistogram> sender(opts);
   auto local = MakeSketch<ExponentialHistogram>();
   Timestamp ts = 1;
   Feed(&local, 200, 71, &ts);
   (void)sender.Ship(local);  // primes the sender's base
   Feed(&local, 20, 72, &ts);
-  SketchWireImage delta = sender.Ship(local);
-  ASSERT_EQ(delta.kind, SketchWireKind::kDelta);
+  SketchWireImage rlz = sender.Ship(local);
+  ASSERT_EQ(rlz.kind, SketchWireKind::kRlz);
 
   SketchReceiver<ExponentialHistogram> fresh(opts);
-  auto got = fresh.Receive(delta.kind, delta.bytes.data(), delta.bytes.size());
+  auto got = fresh.Receive(rlz.kind, rlz.bytes.data(), rlz.bytes.size());
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kStaleBase);
   EXPECT_EQ(fresh.sketch(), nullptr);
 }
 
+TEST(SketchChannelTest, RetiredDeltaKindRejected) {
+  // Wire kind 2 belonged to a retired delta format: it must never decode,
+  // not even when its bytes are a valid image of another kind, and the
+  // receiver's base must survive the rejection.
+  SketchSender<ExponentialHistogram> sender;
+  SketchReceiver<ExponentialHistogram> receiver;
+  auto local = MakeSketch<ExponentialHistogram>();
+  Timestamp ts = 1;
+  Feed(&local, 200, 75, &ts);
+  SketchWireImage full = sender.Ship(local);
+  ASSERT_TRUE(
+      receiver.Receive(full.kind, full.bytes.data(), full.bytes.size()).ok());
+  const std::vector<uint8_t> settled = SerializeSketch(*receiver.sketch());
+
+  Feed(&local, 20, 76, &ts);
+  for (const SketchWireImage& img : {full, sender.Ship(local)}) {
+    auto got = receiver.Receive(static_cast<SketchWireKind>(2),
+                                img.bytes.data(), img.bytes.size());
+    EXPECT_FALSE(got.ok());
+    ASSERT_NE(receiver.sketch(), nullptr);
+    EXPECT_EQ(SerializeSketch(*receiver.sketch()), settled);
+  }
+  EXPECT_EQ(receiver.duplicates_absorbed(), 0u);
+}
+
 TEST(SketchChannelTest, EpochChangeForcesFullResync) {
   CompressionOptions opts;
-  opts.mode = CompressionMode::kAuto;
+  opts.mode = CompressionMode::kRlz;
   SketchSender<ExponentialHistogram> sender(opts);
   SketchReceiver<ExponentialHistogram> receiver(opts);
   auto local = MakeSketch<ExponentialHistogram>();
@@ -483,15 +352,11 @@ TEST(SketchChannelTest, DuplicateDeliveryIdempotentFullEh) {
   DuplicateDeliveryIdempotentImpl<ExponentialHistogram>(
       CompressionMode::kFull);
 }
-TEST(SketchChannelTest, DuplicateDeliveryIdempotentDeltaEh) {
-  DuplicateDeliveryIdempotentImpl<ExponentialHistogram>(
-      CompressionMode::kDelta);
-}
 TEST(SketchChannelTest, DuplicateDeliveryIdempotentRlzEh) {
   DuplicateDeliveryIdempotentImpl<ExponentialHistogram>(CompressionMode::kRlz);
 }
-TEST(SketchChannelTest, DuplicateDeliveryIdempotentDeltaRw) {
-  DuplicateDeliveryIdempotentImpl<RandomizedWave>(CompressionMode::kDelta);
+TEST(SketchChannelTest, DuplicateDeliveryIdempotentRlzRw) {
+  DuplicateDeliveryIdempotentImpl<RandomizedWave>(CompressionMode::kRlz);
 }
 
 TEST(SketchChannelTest, OlderReplayStillRejectsStaleBase) {
@@ -499,7 +364,7 @@ TEST(SketchChannelTest, OlderReplayStillRejectsStaleBase) {
   // replay from further back is a stale base and must reject without
   // touching the receiver's state.
   CompressionOptions opts;
-  opts.mode = CompressionMode::kDelta;
+  opts.mode = CompressionMode::kRlz;
   SketchSender<ExponentialHistogram> sender(opts);
   SketchReceiver<ExponentialHistogram> receiver(opts);
   auto local = MakeSketch<ExponentialHistogram>();
@@ -511,7 +376,7 @@ TEST(SketchChannelTest, OlderReplayStillRejectsStaleBase) {
 
   Feed(&local, 40, 98, &ts);
   SketchWireImage d1 = sender.Ship(local);
-  ASSERT_EQ(d1.kind, SketchWireKind::kDelta);
+  ASSERT_EQ(d1.kind, SketchWireKind::kRlz);
   ASSERT_TRUE(receiver.Receive(d1.kind, d1.bytes.data(), d1.bytes.size()).ok());
 
   Feed(&local, 40, 99, &ts);
@@ -557,14 +422,14 @@ TEST(SketchChannelTest, ResetClearsDuplicateFingerprint) {
 
 TEST(SketchChannelTest, SenderResetRebasesWithFullImage) {
   CompressionOptions opts;
-  opts.mode = CompressionMode::kDelta;
+  opts.mode = CompressionMode::kRlz;
   SketchSender<ExponentialHistogram> sender(opts);
   auto local = MakeSketch<ExponentialHistogram>();
   Timestamp ts = 1;
   Feed(&local, 100, 91, &ts);
   EXPECT_EQ(sender.Ship(local).kind, SketchWireKind::kFull);
   Feed(&local, 10, 92, &ts);
-  EXPECT_EQ(sender.Ship(local).kind, SketchWireKind::kDelta);
+  EXPECT_EQ(sender.Ship(local).kind, SketchWireKind::kRlz);
   sender.Reset();
   Feed(&local, 10, 93, &ts);
   EXPECT_EQ(sender.Ship(local).kind, SketchWireKind::kFull);

@@ -134,10 +134,10 @@ TEST(CoordinatorTest, CompressedCollectMatchesUncompressedBitForBit) {
   Coordinator<ExponentialHistogram> plain(3, cfg, &t_plain);
   Coordinator<ExponentialHistogram> comp(3, cfg, &t_comp);
   CompressionOptions copts;
-  copts.mode = CompressionMode::kAuto;
+  copts.mode = CompressionMode::kRlz;
   comp.EnableCompression(copts);
 
-  // Several collect rounds: after the first, the channels ship delta/RLZ
+  // Several collect rounds: after the first, the channels ship RLZ
   // images, and the merged views must stay identical to the
   // uncompressed coordinator's on the same arrivals.
   auto events = ZipfEvents(12'000, 3, 31);
@@ -155,13 +155,90 @@ TEST(CoordinatorTest, CompressedCollectMatchesUncompressedBitForBit) {
     ASSERT_EQ(SerializeSketch(*got), SerializeSketch(*want)) << "round " << r;
   }
   const CompressionStats cs = comp.compression_stats();
-  EXPECT_EQ(cs.full_images + cs.delta_images + cs.rlz_images,
-            rounds * 3);
-  EXPECT_GT(cs.delta_images + cs.rlz_images, 0u);
+  EXPECT_EQ(cs.full_images + cs.rlz_images, rounds * 3);
+  EXPECT_GT(cs.rlz_images, 0u);
   EXPECT_LT(cs.wire_bytes, cs.raw_bytes);
   // The transport was charged the compressed volume, not the raw one.
   EXPECT_EQ(t_comp.stats().bytes, cs.wire_bytes);
   EXPECT_LT(t_comp.stats().bytes, t_plain.stats().bytes);
+}
+
+// Every coordinator merges what its receivers decoded. With full images
+// on the wire that must equal EcmSketch::Merge over the sites' in-memory
+// sketches byte for byte, and the transport must be charged exactly the
+// full image sizes.
+template <typename Counter>
+void DecodedMergeEqualsInMemoryMergeImpl(const EcmConfig& cfg) {
+  using Sketch = EcmSketch<Counter>;
+  constexpr int kSites = 3;
+  const auto events = ZipfEvents(6'000, kSites, 37);
+  auto merged_image = [&](const std::vector<const Sketch*>& in_memory,
+                          uint64_t seed) {
+    auto merged = Sketch::Merge(in_memory, cfg.epsilon_sw, seed);
+    EXPECT_TRUE(merged.ok()) << merged.status();
+    return SerializeSketch(*merged);
+  };
+
+  LoopbackTransport coord_transport;
+  Coordinator<Counter> coord(kSites, cfg, &coord_transport);
+  uint64_t coord_bytes = 0;
+  for (size_t half = 0; half < 2; ++half) {
+    for (size_t i = half * events.size() / 2;
+         i < (half + 1) * events.size() / 2; ++i) {
+      coord.site(static_cast<int>(events[i].node))
+          .Ingest(events[i].key, events[i].ts);
+    }
+    std::vector<const Sketch*> in_memory;
+    for (int i = 0; i < kSites; ++i) {
+      in_memory.push_back(&coord.site(i).sketch());
+      coord_bytes += SketchWireSize(coord.site(i).sketch());
+    }
+    auto view = coord.CollectAndMerge();
+    ASSERT_TRUE(view.ok()) << view.status();
+    EXPECT_EQ(SerializeSketch(*view), merged_image(in_memory, 0))
+        << "collect " << half;
+  }
+  EXPECT_EQ(coord_transport.stats().messages, 2u * kSites);
+  EXPECT_EQ(coord_transport.stats().bytes, coord_bytes);
+
+  typename PeriodicAggregatorT<Counter>::Config pc;
+  pc.period = 1'500;
+  ASSERT_EQ(pc.compression.mode, CompressionMode::kFull);
+  LoopbackTransport agg_transport;
+  PeriodicAggregatorT<Counter> agg(kSites, cfg, pc, &agg_transport);
+  std::vector<Sketch> mirror(kSites, Sketch(cfg));
+  uint64_t agg_bytes = 0;
+  for (const auto& e : events) {
+    mirror[e.node].Add(e.key, e.ts);
+    if (agg.Process(static_cast<int>(e.node), e.key, e.ts)) {
+      agg_bytes += SketchWireSize(mirror[e.node]);
+    }
+  }
+  ASSERT_TRUE(agg.SyncAll().ok());
+  std::vector<const Sketch*> in_memory;
+  for (int i = 0; i < kSites; ++i) {
+    in_memory.push_back(&agg.site_sketch(i));
+    agg_bytes += SketchWireSize(mirror[i]);
+  }
+  auto view = agg.GlobalView();
+  ASSERT_TRUE(view.ok()) << view.status();
+  EXPECT_EQ(SerializeSketch(*view), merged_image(in_memory, cfg.seed));
+  EXPECT_EQ(agg_transport.stats().bytes, agg_bytes);
+  EXPECT_EQ(agg.stats().network.bytes, agg_bytes);
+  EXPECT_EQ(agg.compression_stats().wire_bytes, agg_bytes);
+}
+
+TEST(CoordinatorTest, DecodedMergeEqualsInMemoryMergeEh) {
+  DecodedMergeEqualsInMemoryMergeImpl<ExponentialHistogram>(
+      SketchCfg(47, OptimizeFor::kPointQueries));
+}
+
+TEST(CoordinatorTest, DecodedMergeEqualsInMemoryMergeRw) {
+  auto cfg = EcmConfig::Create(0.15, 0.1, WindowMode::kTimeBased, kWindow, 49,
+                               OptimizeFor::kPointQueries,
+                               CounterFamily::kRandomized, 1 << 16);
+  ASSERT_TRUE(cfg.ok());
+  DecodedMergeEqualsInMemoryMergeImpl<RandomizedWave>(*cfg);
 }
 
 TEST(CoordinatorTest, AggregateUpEqualsLegacyTreeAccounting) {

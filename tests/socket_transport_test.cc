@@ -409,16 +409,20 @@ TEST(FrameFuzzTest, BadMagicIsStickyCorruption) {
 }
 
 TEST(FrameFuzzTest, UnknownFrameTypeRejectedEvenWithValidChecksum) {
-  Frame f;
-  f.type = static_cast<FrameType>(200);  // checksummed, but not a type
-  f.from = 1;
-  f.payload = {1, 2, 3};
-  std::vector<uint8_t> wire = EncodeFrame(f);
-  FrameDecoder d;
-  d.Feed(wire.data(), wire.size());
-  auto got = d.Next();
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+  // Checksummed, but not a type: 7 is the retired delta-image frame, 200
+  // was never assigned.
+  for (uint8_t type : {uint8_t{7}, uint8_t{200}}) {
+    Frame f;
+    f.type = static_cast<FrameType>(type);
+    f.from = 1;
+    f.payload = {1, 2, 3};
+    std::vector<uint8_t> wire = EncodeFrame(f);
+    FrameDecoder d;
+    d.Feed(wire.data(), wire.size());
+    auto got = d.Next();
+    ASSERT_FALSE(got.ok()) << "type " << int{type};
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(FrameFuzzTest, RandomGarbageStreamsNeverCrash) {
@@ -478,7 +482,7 @@ TEST(FrameFuzzTest, CorruptSketchPayloadInsideValidFrameIsRejectedDownstream) {
 
 /// Coordinator-side receive endpoint for compressed sketch frames: one
 /// SketchReceiver keyed on the site's current kHello rejoin epoch. An
-/// epoch change (crash/rejoin) drops the delta base, so compressed images
+/// epoch change (crash/rejoin) drops the RLZ base, so compressed images
 /// stamped with the old epoch reject with kStaleBase and only a fresh
 /// full snapshot re-bases the channel.
 class CompressedSink {
@@ -518,9 +522,6 @@ class CompressedSink {
       case FrameType::kSketch:
         kind = SketchWireKind::kFull;
         break;
-      case FrameType::kSketchDelta:
-        kind = SketchWireKind::kDelta;
-        break;
       case FrameType::kSketchRlz:
         kind = SketchWireKind::kRlz;
         break;
@@ -529,7 +530,7 @@ class CompressedSink {
     }
     std::lock_guard<std::mutex> lk(mu_);
     // The connection's kHello epoch is authoritative: a rejoin bumps it,
-    // which must invalidate any delta base from the previous life.
+    // which must invalidate any RLZ base from the previous life.
     const uint32_t epoch = server_->site(f.from).epoch;
     if (epoch != receiver_.epoch()) receiver_.set_epoch(epoch);
     auto got = receiver_.Receive(kind, f.payload.data(), f.payload.size());
@@ -545,9 +546,9 @@ class CompressedSink {
   std::vector<std::pair<FrameType, StatusCode>> outcomes_;
 };
 
-TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
+TEST(SocketTransportTest, RejoinEpochInvalidatesRlzBase) {
   CompressionOptions copts;
-  copts.mode = CompressionMode::kDelta;
+  copts.mode = CompressionMode::kRlz;
   CompressedSink sink(copts);
   CoordinatorServer::Options sopt;
   sopt.heartbeat_timeout_ms = 100;
@@ -569,9 +570,7 @@ TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
     SketchWireImage img = sender.Ship(local);
     const FrameType type = img.kind == SketchWireKind::kFull
                                ? FrameType::kSketch
-                               : img.kind == SketchWireKind::kDelta
-                                     ? FrameType::kSketchDelta
-                                     : FrameType::kSketchRlz;
+                               : FrameType::kSketchRlz;
     ASSERT_TRUE(t->SendPayload(type, kCoordinatorNode,
                                std::move(img.bytes))
                     .ok());
@@ -587,7 +586,7 @@ TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
     feed(3'000, 71);
     ship(client->get());  // full snapshot primes the channel
     feed(60, 72);
-    ship(client->get());  // steady-state delta applies
+    ship(client->get());  // steady-state RLZ image applies
     ASSERT_TRUE(sink.WaitForCount(2));
     // Site crashes: connection drops, coordinator marks it down.
   }
@@ -595,8 +594,8 @@ TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
       [&] { return (*server)->site(9).health == SiteHealth::kDown; }));
 
   // Fault injection: the site rejoins under epoch 2 but resumes from its
-  // stale pre-crash channel state and immediately ships a delta stamped
-  // with the old epoch. The coordinator must refuse it — never a silent
+  // stale pre-crash channel state and immediately ships an RLZ image
+  // stamped with the old epoch. The coordinator must refuse it — never a silent
   // merge against the pre-crash base.
   topt.epoch = 2;
   auto again =
@@ -605,10 +604,10 @@ TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
   ASSERT_TRUE(WaitFor(
       [&] { return (*server)->site(9).epoch == 2; }));
   feed(60, 73);
-  ship(again->get());  // stale-epoch delta: must reject
+  ship(again->get());  // stale-epoch RLZ image: must reject
   ASSERT_TRUE(sink.WaitForCount(3));
 
-  // The site learns the new epoch: full-snapshot resync, then deltas
+  // The site learns the new epoch: full-snapshot resync, then RLZ images
   // flow again.
   sender.set_epoch(2);
   ship(again->get());
@@ -620,12 +619,12 @@ TEST(SocketTransportTest, RejoinEpochInvalidatesDeltaBase) {
   ASSERT_EQ(outcomes.size(), 5u);
   EXPECT_EQ(outcomes[0], std::make_pair(FrameType::kSketch, StatusCode::kOk));
   EXPECT_EQ(outcomes[1],
-            std::make_pair(FrameType::kSketchDelta, StatusCode::kOk));
+            std::make_pair(FrameType::kSketchRlz, StatusCode::kOk));
   EXPECT_EQ(outcomes[2],
-            std::make_pair(FrameType::kSketchDelta, StatusCode::kStaleBase));
+            std::make_pair(FrameType::kSketchRlz, StatusCode::kStaleBase));
   EXPECT_EQ(outcomes[3], std::make_pair(FrameType::kSketch, StatusCode::kOk));
   EXPECT_EQ(outcomes[4],
-            std::make_pair(FrameType::kSketchDelta, StatusCode::kOk));
+            std::make_pair(FrameType::kSketchRlz, StatusCode::kOk));
   EXPECT_EQ((*server)->rejoins(), 1u);
   // After the resync the coordinator's decoded state is bit-identical to
   // the site's.
