@@ -109,162 +109,4 @@ bool FaultPlan::RefuseHello(NodeId node, uint32_t attempt_index) const {
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// FaultInjectingTransport
-// ---------------------------------------------------------------------------
-
-FaultInjectingTransport::FaultInjectingTransport(Transport* inner,
-                                                 const FaultPlan* plan)
-    : inner_(inner), plan_(plan) {}
-
-void FaultInjectingTransport::Send(NodeId from, NodeId to,
-                                   size_t payload_bytes) {
-  SendImpl(from, to, nullptr, payload_bytes, /*accounting_only=*/true);
-}
-
-void FaultInjectingTransport::Send(NodeId from, NodeId to,
-                                   const uint8_t* data, size_t size) {
-  SendImpl(from, to, data, size, /*accounting_only=*/false);
-}
-
-void FaultInjectingTransport::Deliver(NodeId from, NodeId to,
-                                      const uint8_t* data, size_t size,
-                                      bool accounting_only,
-                                      size_t payload_bytes) {
-  if (accounting_only) {
-    inner_->Send(from, to, payload_bytes);
-  } else {
-    inner_->Send(from, to, data, size);
-  }
-}
-
-void FaultInjectingTransport::SendImpl(NodeId from, NodeId to,
-                                       const uint8_t* data, size_t size,
-                                       bool accounting_only) {
-  std::unique_lock<std::mutex> lk(mu_);
-  uint64_t index = 0;
-  {
-    auto it = std::find_if(
-        frame_counts_.begin(), frame_counts_.end(),
-        [from](const std::pair<NodeId, uint64_t>& e) { return e.first == from; });
-    if (it == frame_counts_.end()) {
-      frame_counts_.emplace_back(from, 0);
-      it = frame_counts_.end() - 1;
-    }
-    index = it->second++;
-  }
-  ++offered_messages_;
-  offered_bytes_ += size;
-  ++inj_.messages;
-
-  const FaultAction action = plan_->ActionFor(from, index);
-  switch (action) {
-    case FaultAction::kDrop: {
-      ++inj_.drops;
-      if (plan_->InPartition(from, index)) ++inj_.partition_drops;
-      break;
-    }
-    case FaultAction::kDuplicate: {
-      ++inj_.duplicates;
-      lk.unlock();
-      Deliver(from, to, data, size, accounting_only, size);
-      Deliver(from, to, data, size, accounting_only, size);
-      lk.lock();
-      break;
-    }
-    case FaultAction::kCorrupt: {
-      if (!accounting_only && size > 0) {
-        ++inj_.corrupts;
-        std::vector<uint8_t> copy(data, data + size);
-        const size_t bit = plan_->CorruptBit(from, index, size);
-        copy[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-        lk.unlock();
-        inner_->Send(from, to, copy.data(), copy.size());
-        lk.lock();
-      } else {
-        // No bytes to corrupt: pass through.
-        lk.unlock();
-        Deliver(from, to, data, size, accounting_only, size);
-        lk.lock();
-      }
-      break;
-    }
-    case FaultAction::kDelay: {
-      ++inj_.delays;
-      Delayed d;
-      d.from = from;
-      d.to = to;
-      d.accounting_only = accounting_only;
-      d.payload_bytes = size;
-      if (!accounting_only && size > 0) d.bytes.assign(data, data + size);
-      d.release_index = index + plan_->DelayFrames(from, index);
-      delayed_.push_back(std::move(d));
-      break;
-    }
-    case FaultAction::kSever: {
-      // No connection to kill at this layer; count it and deliver.
-      ++inj_.severs;
-      lk.unlock();
-      Deliver(from, to, data, size, accounting_only, size);
-      lk.lock();
-      break;
-    }
-    case FaultAction::kNone: {
-      lk.unlock();
-      Deliver(from, to, data, size, accounting_only, size);
-      lk.lock();
-      break;
-    }
-  }
-  ReleaseDueLocked(lk, from, index);
-}
-
-void FaultInjectingTransport::ReleaseDueLocked(
-    std::unique_lock<std::mutex>& lk, NodeId from, uint64_t index) {
-  // Collect due messages first so inner sends run unlocked; held order
-  // per node is preserved.
-  std::vector<Delayed> due;
-  for (auto it = delayed_.begin(); it != delayed_.end();) {
-    if (it->from == from && it->release_index <= index) {
-      due.push_back(std::move(*it));
-      it = delayed_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (due.empty()) return;
-  lk.unlock();
-  for (const Delayed& d : due) {
-    Deliver(d.from, d.to, d.bytes.data(), d.bytes.size(), d.accounting_only,
-            d.payload_bytes);
-  }
-  lk.lock();
-}
-
-void FaultInjectingTransport::FlushDelayed() {
-  std::deque<Delayed> due;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    due.swap(delayed_);
-  }
-  for (const Delayed& d : due) {
-    Deliver(d.from, d.to, d.bytes.data(), d.bytes.size(), d.accounting_only,
-            d.payload_bytes);
-  }
-}
-
-NetworkStats FaultInjectingTransport::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  NetworkStats s;
-  s.messages = offered_messages_;
-  s.bytes = offered_bytes_;
-  return s;
-}
-
-FaultInjectingTransport::InjectionStats
-FaultInjectingTransport::injection_stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return inj_;
-}
-
 }  // namespace ecm

@@ -6,18 +6,14 @@
 // *replayable unit test* — the same plan over the same message script
 // injects byte-identical faults on every run, on every machine.
 //
-// Two consumers:
-//  * FaultInjectingTransport — a decorator over any Transport (loopback
-//    included) that drops, duplicates, bit-corrupts and delay-reorders
-//    messages per the plan. This is the in-process harness: it lets the
-//    aggregation-tree / propagation / monitoring substrates be tested
-//    under faults without sockets.
-//  * SocketTransport / CoordinatorServer (socket_transport.h) accept a
-//    `const FaultPlan*` in their Options and apply the schedule at the
-//    wire: payload bit-flips that the dist/serialize checksum must
-//    catch, mid-stream connection severs that the in-transport
-//    reconnect machinery must heal, and coordinator-side hello
-//    refusals that simulate a partitioned site-set for a window.
+// One consumer: SocketTransport / CoordinatorServer (socket_transport.h)
+// accept a `const FaultPlan*` in their Options and apply the schedule at
+// the wire — drops, duplicates and delay-reordering of application
+// frames, payload bit-flips that the dist/serialize checksum must catch,
+// mid-stream connection severs that the in-transport reconnect machinery
+// must heal, and coordinator-side hello refusals that simulate a
+// partitioned site-set for a window. SocketTransport::FaultCounters is
+// the tally of what was injected.
 //
 // The retry side of the coin lives here too: BackoffPolicy +
 // BackoffDelayMs give exponential backoff with *deterministic* jitter
@@ -30,11 +26,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <vector>
 
-#include "src/dist/network_stats.h"
 #include "src/dist/transport.h"
 
 namespace ecm {
@@ -70,7 +63,7 @@ enum class FaultAction : uint8_t {
   kDuplicate = 2,  ///< message delivered twice, back to back
   kCorrupt = 3,    ///< one payload bit flipped
   kDelay = 4,      ///< message held back and reordered behind later ones
-  kSever = 5,      ///< (socket level) connection killed after the message
+  kSever = 5,      ///< connection killed after the message
 };
 
 /// Declarative, seeded fault schedule. Probabilities are cumulative-checked
@@ -141,91 +134,6 @@ class FaultPlan {
   double Uniform(uint64_t salt, NodeId node, uint64_t index) const;
 
   FaultPlanConfig config_;
-};
-
-// ---------------------------------------------------------------------------
-// FaultInjectingTransport
-// ---------------------------------------------------------------------------
-
-/// Decorator over any Transport that applies a FaultPlan to every
-/// message. Message indices are per `from` node, counted in call order —
-/// with a deterministic caller script the injected faults are
-/// byte-identical across runs (the acceptance invariant; see
-/// fault_test.cc).
-///
-/// Semantics per action:
-///  * kDrop / partition — the inner transport never sees the message
-///    (stats() still charges it: the sender offered the traffic).
-///  * kDuplicate — delivered twice back to back.
-///  * kCorrupt — one bit (chosen by the plan) flipped in a copy of the
-///    payload; accounting-only sends carry no bytes and pass through.
-///  * kDelay — held until DelayFrames() later messages from the same
-///    node have been sent, then delivered (reordering). FlushDelayed()
-///    releases stragglers at end of script.
-///  * kSever — meaningful only at the socket level; here it counts in
-///    injection stats and delivers normally.
-///
-/// Thread-safe; decisions depend only on per-node call order.
-class FaultInjectingTransport final : public Transport {
- public:
-  /// Counts of injected faults, for assertions and logging.
-  struct InjectionStats {
-    uint64_t messages = 0;  ///< messages offered to the decorator
-    uint64_t drops = 0;
-    uint64_t duplicates = 0;
-    uint64_t corrupts = 0;
-    uint64_t delays = 0;
-    uint64_t severs = 0;
-    uint64_t partition_drops = 0;  ///< subset of drops from partitions
-  };
-
-  /// Neither pointer is owned; both must outlive the decorator.
-  FaultInjectingTransport(Transport* inner, const FaultPlan* plan);
-
-  using Transport::Send;
-  void Send(NodeId from, NodeId to, size_t payload_bytes) override;
-  void Send(NodeId from, NodeId to, const uint8_t* data,
-            size_t size) override;
-
-  /// Offered traffic (drops included), in the NetworkStats currency.
-  NetworkStats stats() const override;
-
-  /// Delivers every still-delayed message, in held order per node.
-  void FlushDelayed();
-
-  InjectionStats injection_stats() const;
-
- private:
-  struct Delayed {
-    NodeId from = 0;
-    NodeId to = 0;
-    std::vector<uint8_t> bytes;
-    bool accounting_only = false;
-    size_t payload_bytes = 0;     ///< for accounting-only sends
-    uint64_t release_index = 0;   ///< deliver once node passes this index
-  };
-
-  /// Common path for both Send forms.
-  void SendImpl(NodeId from, NodeId to, const uint8_t* data, size_t size,
-                bool accounting_only);
-
-  /// Delivers delayed messages of `from` due at `index` (mu_ held;
-  /// unlocks around inner sends via the caller-provided lock).
-  void ReleaseDueLocked(std::unique_lock<std::mutex>& lk, NodeId from,
-                        uint64_t index);
-
-  void Deliver(NodeId from, NodeId to, const uint8_t* data, size_t size,
-               bool accounting_only, size_t payload_bytes);
-
-  Transport* const inner_;
-  const FaultPlan* const plan_;
-
-  mutable std::mutex mu_;
-  std::vector<std::pair<NodeId, uint64_t>> frame_counts_;
-  std::deque<Delayed> delayed_;
-  InjectionStats inj_;
-  uint64_t offered_messages_ = 0;
-  uint64_t offered_bytes_ = 0;
 };
 
 }  // namespace ecm

@@ -396,7 +396,6 @@ KeyedCounterStore::KeyedCounterStore(const KeyedStoreConfig& config,
     // A declared hot-set budget is a memory contract: reserve the
     // per-key arrays up front so steady state carries no doubling slack.
     records_.reserve(config_.max_keys);
-    if (config_.track_variance) var_exts_.reserve(config_.max_keys);
     wheel_.Reserve(config_.max_keys);
   }
 }
@@ -418,9 +417,6 @@ uint32_t KeyedCounterStore::AdmitKey(uint64_t key) {
   }
   KeyRecord& rec = records_[idx];
   rec.key = key;
-  if (config_.track_variance && var_exts_.size() < records_.size()) {
-    var_exts_.resize(records_.size());
-  }
   table_.Insert(key, idx);
   ++stats_.admissions;
   if (table_.size() > stats_.peak_live_keys) {
@@ -434,32 +430,13 @@ void KeyedCounterStore::AddToRecord(uint32_t idx, Timestamp ts,
                                     uint64_t weight) {
   KeyRecord& rec = records_[idx];
   pool_.Add(&rec.sum, ts, weight);
-  if (config_.track_variance) {
-    VarExt& v = var_exts_[idx];
-    pool_.Add(&v.sumsq, ts, weight * weight);
-    pool_.Add(&v.nevents, ts, 1);
-  }
   ++stats_.exact_events;
   if (on_exact_add) on_exact_add(rec.key, ts, weight);
 }
 
-Timestamp KeyedCounterStore::RecordDeadline(uint32_t idx,
-                                            Timestamp now) const {
-  Timestamp d =
-      pool_.NextEstimateChangeAt(records_[idx].sum, now, config_.window_len);
-  if (config_.track_variance) {
-    const VarExt& v = var_exts_[idx];
-    for (const SlabEhState* s : {&v.sumsq, &v.nevents}) {
-      const Timestamp t =
-          pool_.NextEstimateChangeAt(*s, now, config_.window_len);
-      if (t != 0 && (d == 0 || t < d)) d = t;
-    }
-  }
-  return d;
-}
-
 void KeyedCounterStore::ScheduleOrEvict(uint32_t idx, Timestamp now) {
-  const Timestamp d = RecordDeadline(idx, now);
+  const Timestamp d =
+      pool_.NextEstimateChangeAt(records_[idx].sum, now, config_.window_len);
   if (d == 0) {
     // Nothing this key holds can ever affect an estimate again.
     EvictRecord(idx, now);
@@ -473,11 +450,6 @@ void KeyedCounterStore::EvictRecord(uint32_t idx, Timestamp now) {
   if (on_evict) on_evict(rec.key, now);
   wheel_.Cancel(idx);
   pool_.Release(&rec.sum);
-  if (config_.track_variance) {
-    VarExt& v = var_exts_[idx];
-    pool_.Release(&v.sumsq);
-    pool_.Release(&v.nevents);
-  }
   table_.Erase(rec.key);
   free_records_.push_back(idx);
   ++stats_.evictions;
@@ -488,11 +460,6 @@ void KeyedCounterStore::FireRecord(uint32_t idx) {
   const Timestamp now = wheel_.now();
   ++stats_.wheel_keys_touched;
   pool_.Expire(&rec.sum, now);
-  if (config_.track_variance) {
-    VarExt& v = var_exts_[idx];
-    pool_.Expire(&v.sumsq, now);
-    pool_.Expire(&v.nevents, now);
-  }
   bool evict = rec.sum.count == 0;
   if (!evict && config_.evict_threshold > 0 &&
       static_cast<double>(rec.sum.total) < config_.evict_threshold) {
@@ -595,31 +562,11 @@ bool KeyedCounterStore::TryPointQuery(uint64_t key, Timestamp now,
   return true;
 }
 
-bool KeyedCounterStore::TryVarianceQuery(uint64_t key, Timestamp now,
-                                         uint64_t range,
-                                         KeyVarianceStats* out) const {
-  const uint32_t idx = table_.Find(key);
-  if (idx == KeyTable::kNotFound || !config_.track_variance) return false;
-  const KeyRecord& rec = records_[idx];
-  const VarExt& v = var_exts_[idx];
-  KeyVarianceStats st;
-  st.count = pool_.Estimate(v.nevents, now, range);
-  st.sum = pool_.Estimate(rec.sum, now, range);
-  if (st.count > 0.0) {
-    const double sumsq = pool_.Estimate(v.sumsq, now, range);
-    st.mean = st.sum / st.count;
-    st.variance = sumsq / st.count - st.mean * st.mean;
-  }
-  *out = st;
-  return true;
-}
-
 size_t KeyedCounterStore::MemoryBytes() const {
   return sizeof(*this) + pool_.MemoryBytes() + table_.MemoryBytes() +
          wheel_.MemoryBytes() +
          records_.capacity() * sizeof(KeyRecord) +
          free_records_.capacity() * sizeof(uint32_t) +
-         var_exts_.capacity() * sizeof(VarExt) +
          pending_.capacity() * sizeof(PendingEvent) +
          candidates_.capacity() * sizeof(uint64_t) +
          heavy_flags_.capacity();

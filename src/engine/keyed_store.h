@@ -1,5 +1,5 @@
-// Million-key exact counter store: sliding-window counts (and variance)
-// per key for the hot set, guarded by the resident ECM sketch.
+// Million-key exact counter store: sliding-window counts per key for the
+// hot set, guarded by the resident ECM sketch.
 //
 // The sketch answers point queries approximately for the whole key
 // universe; deployments of the paper's monitoring stack (per-flow DDoS
@@ -221,9 +221,6 @@ struct KeyedStoreConfig {
   /// is evicted back to sketch-only coverage. <= 0 evicts only keys
   /// whose window emptied entirely.
   double evict_threshold = 0.0;
-  /// Also maintain per-key sum-of-squares + event-count histograms so
-  /// TryVarianceQuery works (3x the counter memory for tracked keys).
-  bool track_variance = false;
 };
 
 /// Store telemetry. The `wheel_keys_touched` counter is the subject of
@@ -238,15 +235,6 @@ struct KeyedStoreStats {
   uint64_t capacity_refusals = 0;  ///< heavy keys refused by max_keys
   uint64_t wheel_keys_touched = 0;
   uint64_t peak_live_keys = 0;
-};
-
-/// Per-key variance snapshot (paired sum / sum-of-squares histograms,
-/// after SAM's ExponentialHistogramVariance).
-struct KeyVarianceStats {
-  double count = 0.0;     ///< events in range (from the unit-count EH)
-  double sum = 0.0;       ///< sum of weights in range
-  double mean = 0.0;      ///< sum / count
-  double variance = 0.0;  ///< E[w^2] - mean^2 (0 when count == 0)
 };
 
 /// The exact per-key counter store. Single-threaded like every synopsis
@@ -291,11 +279,6 @@ class KeyedCounterStore {
   bool TryPointQuery(uint64_t key, Timestamp now, uint64_t range,
                      double* out) const;
 
-  /// Windowed variance of the key's arrival weights (requires
-  /// track_variance). False for non-resident keys.
-  bool TryVarianceQuery(uint64_t key, Timestamp now, uint64_t range,
-                        KeyVarianceStats* out) const;
-
   size_t LiveKeys() const { return table_.size(); }
   Timestamp clock() const { return wheel_.now(); }
   const KeyedStoreStats& stats() const { return stats_; }
@@ -321,19 +304,12 @@ class KeyedCounterStore {
     uint64_t key = 0;
     SlabEhState sum;
   };
-  struct VarExt {
-    SlabEhState sumsq;   // adds weight^2 per arrival
-    SlabEhState nevents; // adds 1 per arrival
-  };
 
   /// KeyTable resolver: ctx is the store's records_ vector.
   static uint64_t RecordKeyOf(const void* ctx, uint32_t value);
 
   uint32_t AdmitKey(uint64_t key);
   void AddToRecord(uint32_t idx, Timestamp ts, uint64_t weight);
-  /// Min nonzero NextEstimateChangeAt across the record's histograms
-  /// (0 when all are empty).
-  Timestamp RecordDeadline(uint32_t idx, Timestamp now) const;
   /// Schedules the record, or evicts it when nothing can ever expire.
   void ScheduleOrEvict(uint32_t idx, Timestamp now);
   void EvictRecord(uint32_t idx, Timestamp now);
@@ -347,9 +323,6 @@ class KeyedCounterStore {
   ExpiryWheel wheel_;
   std::vector<KeyRecord> records_;
   std::vector<uint32_t> free_records_;
-  // Parallel to records_ when track_variance is on (same index), empty
-  // otherwise — no per-record link field, no separate free list.
-  std::vector<VarExt> var_exts_;
   KeyedStoreStats stats_;
 
   // Batch scratch (members, not statics: stores are independent).

@@ -475,14 +475,13 @@ TEST(IncrementalDriftTest, DetectsCrossingBeyondWindowExpiry) {
 }
 
 TEST(IncrementalDriftTest, ExpiryHeapCatchesDownwardCrossingWithoutRefresh) {
-  // Pins the old staleness bug: with the periodic refresh disabled
-  // (refresh_every huge), the former tick-based tracker would keep the
-  // flooded cells' stale estimates forever once the flood stops — the
-  // site ball never reaches the surface and the monitor stays "above"
-  // after the window has long expired the flood. The per-counter
-  // expiry-event heap must replay the estimate drops exactly, so
-  // incremental mode fires syncs on the very same arrivals as the
-  // full-rebuild reference and detects the downward crossing.
+  // Pins the old staleness bug: a tick-based tracker without a full
+  // refresh would keep the flooded cells' stale estimates forever once
+  // the flood stops — the site ball never reaches the surface and the
+  // monitor stays "above" after the window has long expired the flood.
+  // The per-counter expiry-event heap must replay the estimate drops
+  // exactly, so incremental mode fires syncs on the very same arrivals
+  // as the full-rebuild reference and detects the downward crossing.
   constexpr uint64_t kWin = 2'000;
   auto cfg_r = EcmConfig::Create(0.1, 0.1, WindowMode::kTimeBased, kWin, 83,
                                  OptimizeFor::kSelfJoinQueries);
@@ -520,7 +519,6 @@ TEST(IncrementalDriftTest, ExpiryHeapCatchesDownwardCrossingWithoutRefresh) {
   GeometricSelfJoinMonitor::Config mc;
   mc.threshold = 1e6;
   mc.check_every = 2;
-  mc.refresh_every = 1'000'000'000;  // the legacy staleness tick never fires
 
   auto run = [&](DriftTracking drift) {
     auto mcd = mc;
@@ -592,7 +590,6 @@ TEST(IncrementalDriftTest, PointMonitorExpiryMatchesRebuildWithoutRefresh) {
   mc.key = kVictim;
   mc.threshold = 800;
   mc.check_every = 2;
-  mc.refresh_every = 1'000'000'000;
 
   auto run = [&](DriftTracking drift) {
     auto mcd = mc;

@@ -1,6 +1,6 @@
 // Keyed counter store tests: an oracle differential against a naive
 // map<key, ExponentialHistogram> reference driven through the store's
-// observers (bit-identity for admitted keys, including variance),
+// observers (bit-identity for admitted keys),
 // sketch-guarded admission/eviction behaviour, the O(expiring keys)
 // idle-tick property, and randomized fuzz of the robin-hood table's
 // incremental rehash racing wheel-driven eviction.
@@ -155,28 +155,21 @@ TEST(KeyTableTest, RandomizedAgainstUnorderedMap) {
 // KeyedCounterStore: oracle differential
 // ---------------------------------------------------------------------------
 
-// Naive per-key reference: three plain ExponentialHistograms fed from the
-// store's own observer stream (admit / exact-add / wheel-expire / evict),
-// which is exactly the determinism contract the header documents. Every
-// resident key's point and variance answers must be bit-identical.
-struct RefKey {
-  ExponentialHistogram sum;
-  ExponentialHistogram sumsq;
-  ExponentialHistogram nevents;
-  RefKey(double eps, uint64_t window)
-      : sum({eps, window}), sumsq({eps, window}), nevents({eps, window}) {}
-};
-
+// Naive per-key reference: a plain ExponentialHistogram per key fed from
+// the store's own observer stream (admit / exact-add / wheel-expire /
+// evict), which is exactly the determinism contract the header documents.
+// Every resident key's point answers must be bit-identical.
 TEST(KeyedStoreTest, OracleDifferentialBitIdentity) {
   KeyedStoreConfig cfg;
   cfg.epsilon = 0.1;
   cfg.window_len = 512;
-  cfg.track_variance = true;
   KeyedCounterStore store(cfg);  // no sketch: admit-all, churn via expiry
 
-  std::map<uint64_t, RefKey> ref;
+  std::map<uint64_t, ExponentialHistogram> ref;
   store.on_admit = [&](uint64_t key, Timestamp) {
-    ASSERT_TRUE(ref.try_emplace(key, cfg.epsilon, cfg.window_len).second);
+    ASSERT_TRUE(ref.try_emplace(key, ExponentialHistogram::Config{
+                                         cfg.epsilon, cfg.window_len})
+                    .second);
   };
   store.on_evict = [&](uint64_t key, Timestamp) {
     ASSERT_EQ(ref.erase(key), 1u);
@@ -184,16 +177,12 @@ TEST(KeyedStoreTest, OracleDifferentialBitIdentity) {
   store.on_expire = [&](uint64_t key, Timestamp now) {
     auto it = ref.find(key);
     ASSERT_NE(it, ref.end());
-    it->second.sum.Expire(now);
-    it->second.sumsq.Expire(now);
-    it->second.nevents.Expire(now);
+    it->second.Expire(now);
   };
   store.on_exact_add = [&](uint64_t key, Timestamp ts, uint64_t weight) {
     auto it = ref.find(key);
     ASSERT_NE(it, ref.end());
-    it->second.sum.Add(ts, weight);
-    it->second.sumsq.Add(ts, weight * weight);
-    it->second.nevents.Add(ts, 1);
+    it->second.Add(ts, weight);
   };
 
   Rng rng(0x0D1FF7777);
@@ -223,29 +212,13 @@ TEST(KeyedStoreTest, OracleDifferentialBitIdentity) {
     ASSERT_EQ(store.LiveKeys(), ref.size()) << "op " << op;
     const Timestamp now = store.clock() + rng.Uniform(cfg.window_len / 4 + 1);
     const uint64_t range = 1 + rng.Uniform(cfg.window_len + 64);
-    for (auto& [key, rk] : ref) {
+    for (auto& [key, eh] : ref) {
       double est = 0.0;
       ASSERT_TRUE(store.TryPointQuery(key, now, range, &est))
           << "op " << op << " key " << key;
-      EXPECT_EQ(est, rk.sum.Estimate(now, range))
+      EXPECT_EQ(est, eh.Estimate(now, range))
           << "op " << op << " key " << key << " now=" << now
           << " range=" << range;
-
-      KeyVarianceStats vs;
-      ASSERT_TRUE(store.TryVarianceQuery(key, now, range, &vs));
-      const double rcount = rk.nevents.Estimate(now, range);
-      const double rsum = rk.sum.Estimate(now, range);
-      EXPECT_EQ(vs.count, rcount);
-      EXPECT_EQ(vs.sum, rsum);
-      if (rcount > 0.0) {
-        const double rmean = rsum / rcount;
-        EXPECT_EQ(vs.mean, rmean);
-        EXPECT_EQ(vs.variance,
-                  rk.sumsq.Estimate(now, range) / rcount - rmean * rmean);
-      } else {
-        EXPECT_EQ(vs.mean, 0.0);
-        EXPECT_EQ(vs.variance, 0.0);
-      }
     }
     // Non-resident keys answer false (sketch fallback is the caller's).
     const uint64_t probe = 1 + rng.Uniform(60);
@@ -256,28 +229,6 @@ TEST(KeyedStoreTest, OracleDifferentialBitIdentity) {
   }
   EXPECT_GT(store.stats().evictions, 0u) << "test never exercised eviction";
   EXPECT_GT(store.stats().admissions, store.stats().evictions);
-}
-
-// Exact variance on a window that fully covers a handful of arrivals
-// (no EH approximation in play): textbook values, not just self-identity.
-TEST(KeyedStoreTest, VarianceMatchesClosedForm) {
-  KeyedStoreConfig cfg;
-  cfg.epsilon = 0.01;
-  cfg.window_len = 1 << 20;
-  cfg.track_variance = true;
-  KeyedCounterStore store(cfg);
-  const uint64_t weights[] = {2, 4, 4, 4, 5, 5, 7, 9};
-  Timestamp ts = 100;
-  for (uint64_t w : weights) store.Add(42, ts += 10, w);
-  KeyVarianceStats vs;
-  ASSERT_TRUE(store.TryVarianceQuery(42, ts, cfg.window_len, &vs));
-  EXPECT_DOUBLE_EQ(vs.count, 8.0);
-  EXPECT_DOUBLE_EQ(vs.sum, 40.0);
-  EXPECT_DOUBLE_EQ(vs.mean, 5.0);
-  EXPECT_DOUBLE_EQ(vs.variance, 4.0);  // E[w^2] = 29, 29 - 25
-  double point = 0.0;
-  ASSERT_TRUE(store.TryPointQuery(42, ts, cfg.window_len, &point));
-  EXPECT_DOUBLE_EQ(point, 40.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@
 //    through LoopbackTransport and SocketTransport;
 //  * backpressure: the bounded send queue never holds more than the
 //    configured volume, yet every frame is eventually delivered.
+//  * wire-level faults: each per-frame FaultPlan action (drop, duplicate,
+//    corrupt, delay, partition, sever) does what it claims, and a fixed
+//    script under a fixed seed delivers byte-identically on every run.
 
 #include "src/dist/socket_transport.h"
 
@@ -23,6 +26,7 @@
 #include <mutex>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/dist/compress.h"
@@ -962,61 +966,164 @@ TEST(SocketTransportTest, CorruptFaultPassesFramingFailsAppChecksum) {
   EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
 }
 
-TEST(SocketTransportTest, DropAndDelayFaultsAtTheWire) {
+/// One scripted run of a faulted site against a fresh coordinator.
+struct WireRun {
+  std::vector<Frame> frames;  ///< application frames, in arrival order
+  SocketTransport::FaultCounters counters;
+  uint64_t offered_messages = 0;
+};
+
+/// Ships one kBlob frame per payload from `node` under `plan` and
+/// collects what the coordinator received. Heartbeats are off, so frame
+/// sequence numbers depend on the script alone. Flush() releases every
+/// delayed frame, so exactly sent - drops + duplicates frames arrive.
+void ShipUnderPlan(const FaultPlan& plan, NodeId node,
+                   const std::vector<std::vector<uint8_t>>& payloads,
+                   WireRun* run) {
   FrameSink sink;
   auto server =
       CoordinatorServer::Start(0, CoordinatorServer::Options{}, sink.handler());
   ASSERT_TRUE(server.ok());
-
-  // Drops: offered traffic is charged, nothing arrives.
-  FaultPlanConfig drop_cfg;
-  drop_cfg.drop_p = 1.0;
-  FaultPlan drop_plan(drop_cfg);
   SocketTransport::Options topt;
   topt.heartbeat_period_ms = 0;
-  topt.fault_plan = &drop_plan;
-  {
-    auto client =
-        SocketTransport::Connect("127.0.0.1", (*server)->port(), 3, topt);
-    ASSERT_TRUE(client.ok());
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE((*client)
-                      ->SendPayload(FrameType::kBlob, kCoordinatorNode,
-                                    std::vector<uint8_t>{1, 2})
-                      .ok());
-    }
-    ASSERT_TRUE((*client)->Flush().ok());
-    EXPECT_EQ((*client)->stats().messages, 4u);  // offered, per PR 5 currency
-    EXPECT_EQ((*client)->fault_counters().drops, 4u);
-  }
-  EXPECT_EQ((*server)->stats().messages, 0u);
-
-  // Delays: reordering, never loss — Flush releases the stragglers.
-  FaultPlanConfig delay_cfg;
-  delay_cfg.delay_p = 1.0;
-  delay_cfg.max_delay_frames = 3;
-  FaultPlan delay_plan(delay_cfg);
-  topt.fault_plan = &delay_plan;
+  topt.fault_plan = &plan;
   auto client =
-      SocketTransport::Connect("127.0.0.1", (*server)->port(), 5, topt);
+      SocketTransport::Connect("127.0.0.1", (*server)->port(), node, topt);
   ASSERT_TRUE(client.ok());
-  constexpr int kFrames = 6;
-  for (uint8_t i = 0; i < kFrames; ++i) {
-    ASSERT_TRUE((*client)
-                    ->SendPayload(FrameType::kBlob, kCoordinatorNode,
-                                  std::vector<uint8_t>{i})
-                    .ok());
+  for (const std::vector<uint8_t>& p : payloads) {
+    ASSERT_TRUE(
+        (*client)->SendPayload(FrameType::kBlob, kCoordinatorNode, p).ok());
   }
   ASSERT_TRUE((*client)->Flush().ok());
-  ASSERT_TRUE(sink.WaitForCount(kFrames));
-  EXPECT_EQ((*client)->fault_counters().delays,
-            static_cast<uint64_t>(kFrames));
-  std::vector<int> seen(kFrames, 0);
-  for (const Frame& f : sink.frames()) {
-    ASSERT_EQ(f.payload.size(), 1u);
-    ++seen[f.payload[0]];
+  run->counters = (*client)->fault_counters();
+  run->offered_messages = (*client)->stats().messages;
+  const size_t expected =
+      payloads.size() - run->counters.drops + run->counters.duplicates;
+  ASSERT_TRUE(sink.WaitForCount(expected));
+  run->frames = sink.frames();
+  ASSERT_EQ(run->frames.size(), expected);
+}
+
+/// Payloads {0}, {1}, ... — each frame's payload names its script index.
+std::vector<std::vector<uint8_t>> TaggedPayloads(int n) {
+  std::vector<std::vector<uint8_t>> out;
+  for (int i = 0; i < n; ++i) out.push_back({static_cast<uint8_t>(i)});
+  return out;
+}
+
+TEST(SocketTransportTest, DropAndDelayFaultsAtTheWire) {
+  // Drops: nothing arrives.
+  {
+    FaultPlanConfig cfg;
+    cfg.drop_p = 1.0;
+    WireRun run;
+    ASSERT_NO_FATAL_FAILURE(
+        ShipUnderPlan(FaultPlan(cfg), 3, TaggedPayloads(4), &run));
+    EXPECT_EQ(run.offered_messages, 4u);  // offered traffic is charged
+    EXPECT_EQ(run.counters.drops, 4u);
+    EXPECT_TRUE(run.frames.empty());
   }
-  for (int c : seen) EXPECT_EQ(c, 1);
+
+  // Delays: reordering, never loss — Flush releases the stragglers.
+  {
+    constexpr int kFrames = 6;
+    FaultPlanConfig cfg;
+    cfg.delay_p = 1.0;
+    cfg.max_delay_frames = 3;
+    WireRun run;
+    ASSERT_NO_FATAL_FAILURE(
+        ShipUnderPlan(FaultPlan(cfg), 5, TaggedPayloads(kFrames), &run));
+    EXPECT_EQ(run.counters.delays, static_cast<uint64_t>(kFrames));
+    std::vector<int> seen(kFrames, 0);
+    for (const Frame& f : run.frames) {
+      ASSERT_EQ(f.payload.size(), 1u);
+      ++seen[f.payload[0]];
+    }
+    for (int c : seen) EXPECT_EQ(c, 1);
+  }
+
+  // Duplicates: every frame arrives twice back to back, byte-identical
+  // down to its sequence number.
+  {
+    constexpr int kFrames = 5;
+    FaultPlanConfig cfg;
+    cfg.duplicate_p = 1.0;
+    WireRun run;
+    ASSERT_NO_FATAL_FAILURE(
+        ShipUnderPlan(FaultPlan(cfg), 6, TaggedPayloads(kFrames), &run));
+    EXPECT_EQ(run.counters.duplicates, static_cast<uint64_t>(kFrames));
+    ASSERT_EQ(run.frames.size(), 2u * kFrames);
+    for (size_t i = 0; i < kFrames; ++i) {
+      const Frame& first = run.frames[2 * i];
+      const Frame& twin = run.frames[2 * i + 1];
+      EXPECT_EQ(first.payload, std::vector<uint8_t>{static_cast<uint8_t>(i)});
+      EXPECT_EQ(twin.payload, first.payload);
+      EXPECT_EQ(twin.seq, first.seq);
+      if (i > 0) {
+        EXPECT_NE(first.seq, run.frames[2 * i - 1].seq);
+      }
+    }
+  }
+
+  // Partition window: exactly the node's frames with index in [2, 5) are
+  // dropped; another node's frames pass untouched.
+  {
+    FaultPlanConfig cfg;
+    cfg.partitions.push_back({/*node=*/8, /*from_frame=*/2, /*to_frame=*/5});
+    const FaultPlan plan(cfg);
+    WireRun cut;
+    ASSERT_NO_FATAL_FAILURE(ShipUnderPlan(plan, 8, TaggedPayloads(8), &cut));
+    EXPECT_EQ(cut.counters.drops, 3u);
+    std::vector<uint8_t> tags;
+    for (const Frame& f : cut.frames) tags.push_back(f.payload.at(0));
+    EXPECT_EQ(tags, (std::vector<uint8_t>{0, 1, 5, 6, 7}));
+
+    WireRun other;
+    ASSERT_NO_FATAL_FAILURE(ShipUnderPlan(plan, 4, TaggedPayloads(8), &other));
+    EXPECT_EQ(other.counters.drops, 0u);
+    EXPECT_EQ(other.frames.size(), 8u);
+  }
+
+  // Replay: one fixed script under a mixed plan (no sever) delivers the
+  // same (seq, payload) sequence on every run, and a different one under
+  // another seed.
+  {
+    std::vector<std::vector<uint8_t>> script;
+    for (int i = 0; i < 60; ++i) {
+      std::vector<uint8_t> p(4 + static_cast<size_t>(i % 5));
+      for (size_t j = 0; j < p.size(); ++j) {
+        p[j] = static_cast<uint8_t>(i * 7 + static_cast<int>(j));
+      }
+      script.push_back(std::move(p));
+    }
+    FaultPlanConfig cfg;
+    cfg.seed = 1234;
+    cfg.drop_p = 0.15;
+    cfg.duplicate_p = 0.15;
+    cfg.corrupt_p = 0.15;
+    cfg.delay_p = 0.15;
+    const FaultPlan plan(cfg);
+    auto history = [](const WireRun& run) {
+      std::vector<std::pair<uint64_t, std::vector<uint8_t>>> h;
+      for (const Frame& f : run.frames) h.emplace_back(f.seq, f.payload);
+      return h;
+    };
+    WireRun run1;
+    WireRun run2;
+    ASSERT_NO_FATAL_FAILURE(ShipUnderPlan(plan, 2, script, &run1));
+    ASSERT_NO_FATAL_FAILURE(ShipUnderPlan(plan, 2, script, &run2));
+    EXPECT_EQ(history(run1), history(run2));
+    // Every kind of fault really fired: this is not a pass-through.
+    EXPECT_GT(run1.counters.drops, 0u);
+    EXPECT_GT(run1.counters.duplicates, 0u);
+    EXPECT_GT(run1.counters.corrupts, 0u);
+    EXPECT_GT(run1.counters.delays, 0u);
+
+    cfg.seed = 77;
+    WireRun run3;
+    ASSERT_NO_FATAL_FAILURE(ShipUnderPlan(FaultPlan(cfg), 2, script, &run3));
+    EXPECT_NE(history(run1), history(run3));
+  }
 }
 
 // --- Coordinator-side hello refusal ----------------------------------------

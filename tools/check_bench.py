@@ -5,9 +5,9 @@ Every bench binary writes machine-readable rows via --json:
 
     {"benchmarks": [{"name": ..., "events_per_sec": ..., "bytes": ...}, ...]}
 
-This script loads the committed baseline (e.g. BENCH_pr5.json) and one or
-more current result files (e.g. the CI smoke run's BENCH_smoke_*.json),
-then checks every row present in BOTH sides:
+This script loads the committed baseline (CI gates against BENCH_pr10.json)
+and one or more current result files (e.g. the CI smoke run's
+BENCH_smoke_*.json), then checks every row present in BOTH sides:
 
   * events_per_sec may not fall below baseline * (1 - tolerance);
   * bytes (where the baseline recorded a nonzero footprint) may not grow
