@@ -4,10 +4,8 @@
 //
 //  * PointQuery throughput (per-call and batched) for ECM-EH/DW/RW;
 //  * SelfJoin and EstimateL1: the batched single-estimate-per-cell path
-//    vs the legacy per-cell double-Estimate loop over the counters' scan
-//    reference — the exact pre-PR4 query cost (ablation pairs);
-//  * RandomizedWave::Estimate at large retained-run counts: run
-//    prefix-sum lookup vs the legacy linear suffix walk;
+//    vs the legacy per-cell double-Estimate loop (ablation pairs);
+//  * RandomizedWave::Estimate at large retained-run counts;
 //  * dyadic heavy-hitter sweeps: batched frontier descent vs the
 //    recursive per-node descent.
 //
@@ -145,51 +143,42 @@ struct AblationPair {
   double legacy = 0.0;
 };
 
-// --- large-frontier batched point queries: bucket-sorted vs scalar ---------
+// --- large-frontier batched point queries ---------------------------------
 
-// PR-5 ablation: at large frontier sizes the per-row counting sort makes
-// the counter walk sequential and lets column-colliding keys share one
-// Estimate (frontier >> width means dozens of keys per column); results
-// are bit-identical to the arrival-order sweep. The win tracks the
-// per-estimate cost: partial ranges pay a straddling-level binary search
-// per counter, full-coverage probes are O(1) off the running total since
-// PR 4 — both regimes are recorded, each sweep in both explicit modes
-// plus the cost-model auto pick (PR 7), which must track the better of
-// the two in each regime.
+// At large frontier sizes PointQueryBatchAt's cost model picks the
+// per-row counting sort, which makes the counter walk sequential and lets
+// column-colliding keys share one Estimate (frontier >> width means
+// dozens of keys per column). The win tracks the per-estimate cost:
+// partial ranges pay a straddling-level binary search per counter,
+// full-coverage probes are O(1) off the running total — both regimes are
+// recorded.
 template <SlidingWindowCounter Counter>
-AblationPair MeasureBatchBucketSort(const EcmSketch<Counter>& sketch,
-                                    size_t frontier, size_t sweeps,
-                                    uint64_t range, const char* regime) {
+double MeasureLargeFrontierBatch(const EcmSketch<Counter>& sketch,
+                                 size_t frontier, size_t sweeps,
+                                 uint64_t range, const char* regime) {
   Rng rng(7);
   std::vector<uint64_t> keys(frontier);
   for (auto& k : keys) k = rng.Uniform(1 << 16);
   std::vector<double> out(frontier);
   const Timestamp now = sketch.Now();
-  auto measure = [&](BatchQueryMode mode) {
-    Timer timer;
-    for (size_t i = 0; i < sweeps; ++i) {
-      sketch.PointQueryBatchAt(keys.data(), frontier, range, now, out.data(),
-                               mode);
-      g_sink += out[i % frontier];
-    }
-    return static_cast<double>(sweeps * frontier) / timer.ElapsedSeconds();
-  };
-  AblationPair res;
-  res.fast = measure(BatchQueryMode::kBucketSorted);
-  res.legacy = measure(BatchQueryMode::kScalarSweep);
-  double auto_rate = measure(BatchQueryMode::kAuto);
-  std::string base = std::string("query/point-batch-sort/ECM-") +
-                     std::string(CounterName<Counter>()) + "/" + regime;
-  RecordBenchResult(base + "/bucketed", res.fast, 0.0);
-  RecordBenchResult(base + "/scalar", res.legacy, 0.0);
-  RecordBenchResult(base + "/auto", auto_rate, 0.0);
-  return res;
+  Timer timer;
+  for (size_t i = 0; i < sweeps; ++i) {
+    sketch.PointQueryBatchAt(keys.data(), frontier, range, now, out.data());
+    g_sink += out[i % frontier];
+  }
+  double rate =
+      static_cast<double>(sweeps * frontier) / timer.ElapsedSeconds();
+  RecordBenchResult(std::string("query/point-batch-sort/ECM-") +
+                        std::string(CounterName<Counter>()) + "/" + regime +
+                        "/auto",
+                    rate, 0.0);
+  return rate;
 }
 
 // --- SIMD hash kernels: per-tier rates -------------------------------------
 
 // The PR-7 hot kernels in isolation, one row per instruction-set tier
-// (skipping tiers the CPU lacks): the batched Mix64 pass, the
+// (skipping AVX2 when the CPU lacks it): the batched Mix64 pass, the
 // key-parallel row fill (the kernel under every batched point query),
 // and the row-parallel single-key walk (the kernel under Add /
 // PointQueryAt). Rates are keys (buckets) per second; the acceptance
@@ -210,8 +199,7 @@ void MeasureHashKernels(size_t iters) {
       "SIMD hash kernels (keys/second per tier; row-major fill is "
       "per-key over all 3 rows)",
       {"kernel", "tier", "rate", "vs scalar"});
-  constexpr SimdLevel kLevels[] = {SimdLevel::kScalar, SimdLevel::kSSE2,
-                                   SimdLevel::kAVX2};
+  constexpr SimdLevel kLevels[] = {SimdLevel::kScalar, SimdLevel::kAVX2};
   double mix_scalar = 0.0, row_scalar = 0.0, one_scalar = 0.0;
   for (SimdLevel level : kLevels) {
     if (!SimdLevelSupported(level)) continue;
@@ -266,10 +254,10 @@ void MeasureHashKernels(size_t iters) {
   }
 }
 
-// --- self-join / L1: batched vs legacy per-cell scans ----------------------
+// --- self-join / L1: batched vs legacy per-cell loops ----------------------
 
-// The pre-PR4 SelfJoin: two independent per-counter scan estimates per
-// cell (EstimateScanReference is the verbatim pre-PR4 Estimate).
+// The unbatched SelfJoin loop shape: two independent counter estimates
+// per cell, no per-row materialization.
 double LegacySelfJoin(const EcmEh& sketch, uint64_t range, Timestamp now) {
   const EcmConfig& cfg = sketch.config();
   double best = std::numeric_limits<double>::infinity();
@@ -277,8 +265,7 @@ double LegacySelfJoin(const EcmEh& sketch, uint64_t range, Timestamp now) {
     double row = 0.0;
     for (uint32_t i = 0; i < cfg.width; ++i) {
       const ExponentialHistogram& c = sketch.CounterAt(j, i);
-      row += c.EstimateScanReference(now, range) *
-             c.EstimateScanReference(now, range);
+      row += c.Estimate(now, range) * c.Estimate(now, range);
     }
     best = std::min(best, row);
   }
@@ -290,7 +277,7 @@ double LegacyL1(const EcmEh& sketch, uint64_t range, Timestamp now) {
   double total = 0.0;
   for (int j = 0; j < cfg.depth; ++j) {
     for (uint32_t i = 0; i < cfg.width; ++i) {
-      total += sketch.CounterAt(j, i).EstimateScanReference(now, range);
+      total += sketch.CounterAt(j, i).Estimate(now, range);
     }
   }
   return total / cfg.depth;
@@ -320,10 +307,10 @@ AblationPair MeasureAblation(const char* name, size_t fast_calls,
 
 // --- RW counter estimates at large run counts ------------------------------
 
-AblationPair MeasureRwEstimate(size_t fast_calls, size_t legacy_calls) {
+double MeasureRwEstimate(size_t calls) {
   // Small epsilon => per-level capacity 10000 retained samples; distinct
-  // timestamps keep runs uncompressed, so the legacy path walks thousands
-  // of runs per level while the indexed path binary-searches.
+  // timestamps keep runs uncompressed, so each estimate binary-searches
+  // thousands of runs per level.
   RandomizedWave::Config cfg;
   cfg.epsilon = 0.02;
   cfg.delta = 0.1;
@@ -335,41 +322,27 @@ AblationPair MeasureRwEstimate(size_t fast_calls, size_t legacy_calls) {
   for (Timestamp t = 1; t <= arrivals; ++t) rw.Add(t, 3);
   Timestamp now = rw.last_timestamp();
 
-  AblationPair out;
-  {
-    std::vector<Probe> probes = MakeProbes(now, fast_calls, ProbeMode::kMixed);
-    Timer timer;
-    for (const Probe& p : probes) g_sink += rw.Estimate(p.now, p.range);
-    out.fast = static_cast<double>(probes.size()) / timer.ElapsedSeconds();
-  }
-  {
-    std::vector<Probe> probes =
-        MakeProbes(now, legacy_calls, ProbeMode::kMixed);
-    Timer timer;
-    for (const Probe& p : probes) {
-      g_sink += rw.EstimateScanReference(p.now, p.range);
-    }
-    out.legacy = static_cast<double>(probes.size()) / timer.ElapsedSeconds();
-  }
-  RecordBenchResult("query/rw-estimate/indexed", out.fast,
+  std::vector<Probe> probes = MakeProbes(now, calls, ProbeMode::kMixed);
+  Timer timer;
+  for (const Probe& p : probes) g_sink += rw.Estimate(p.now, p.range);
+  double rate = static_cast<double>(probes.size()) / timer.ElapsedSeconds();
+  RecordBenchResult("query/rw-estimate/indexed", rate,
                     static_cast<double>(rw.MemoryBytes()));
-  RecordBenchResult("query/rw-estimate/scan", out.legacy, 0.0);
-  return out;
+  return rate;
 }
 
 // --- dyadic heavy hitters --------------------------------------------------
 
-// The pre-PR4 point query: one-pass hashing, per-cell scan estimates
-// (EstimateScanReference is the verbatim pre-PR4 counter Estimate). The
-// hash family is rebuilt from the config — identical mapping guaranteed.
+// The unbatched point query: one-pass hashing, one counter estimate per
+// row. The hash family is rebuilt from the config — identical mapping
+// guaranteed.
 double LegacyPointQuery(const EcmEh& sketch, const HashFamily& hf,
                         uint64_t key, uint64_t range, Timestamp now) {
   uint32_t cols[kMaxSketchDepth];
   hf.BucketsMixed(key, sketch.config().width, cols);
   double best = std::numeric_limits<double>::infinity();
   for (int j = 0; j < sketch.config().depth; ++j) {
-    best = std::min(
-        best, sketch.CounterAt(j, cols[j]).EstimateScanReference(now, range));
+    best = std::min(best, sketch.CounterAt(j, cols[j]).Estimate(now, range));
   }
   return best;
 }
@@ -417,13 +390,12 @@ AblationPair MeasureHeavyHitters(const std::vector<StreamEvent>& events,
     out.fast = static_cast<double>(fast_sweeps) / timer.ElapsedSeconds();
   }
   {
-    // The full pre-PR4 pipeline: per-sweep L1 recomputation over the
-    // scan estimates (no memo), recursive per-node descent over legacy
-    // point queries.
+    // The unbatched pipeline shape: per-sweep L1 recomputation (no memo),
+    // recursive per-node descent over per-key point queries.
     std::vector<HashFamily> hfs;
     for (int l = 0; l < kDomainBits; ++l) {
       const EcmConfig& lcfg = dy->level(l).config();
-      hfs.emplace_back(lcfg.seed, lcfg.depth, lcfg.hash_reduction);
+      hfs.emplace_back(lcfg.seed, lcfg.depth);
     }
     Timer timer;
     for (size_t i = 0; i < legacy_sweeps; ++i) {
@@ -465,8 +437,8 @@ void Run() {
   double dw_pqb = MeasurePointQueriesBatched(*dw, events, kQ);
   PrintRow({"ECM-DW", FormatDouble(dw_pq, 0), FormatDouble(dw_pqb, 0)});
   // End-to-end SIMD dispatch ablation: the identical batched loop with
-  // the hash kernels pinned to the scalar tier (what ECM_SIMD=scalar or a
-  // non-x86 build runs); the auto row above carries the vector tiers.
+  // the hash kernels pinned to the scalar tier (what a non-x86 or
+  // pre-AVX2 machine runs); the auto row above carries the vector tier.
   if (ForceSimdLevel(SimdLevel::kScalar)) {
     double eh_pqb_scalar =
         MeasurePointQueriesBatched(*eh, events, kQ, "/forced-scalar");
@@ -478,25 +450,20 @@ void Run() {
   MeasureHashKernels(kQ * 8);
 
   PrintHeader(
-      "Large-frontier batched point queries, 4096 keys "
-      "(keys/second): per-row bucket sort vs arrival-order sweep",
-      {"regime", "bucketed", "scalar", "speedup"});
-  AblationPair bsp = MeasureBatchBucketSort(
-      *eh, /*frontier=*/4096, std::max<size_t>(kQ / 4096, 4),
-      /*range=*/kWindow / 2, "partial");
-  PrintRow({"partial range (w/2)", FormatDouble(bsp.fast, 0),
-            FormatDouble(bsp.legacy, 0),
-            FormatDouble(bsp.legacy > 0 ? bsp.fast / bsp.legacy : 0.0, 2)});
-  AblationPair bsf = MeasureBatchBucketSort(
-      *eh, /*frontier=*/4096, std::max<size_t>(kQ / 4096, 4),
-      /*range=*/kWindow, "full");
-  PrintRow({"full window", FormatDouble(bsf.fast, 0),
-            FormatDouble(bsf.legacy, 0),
-            FormatDouble(bsf.legacy > 0 ? bsf.fast / bsf.legacy : 0.0, 2)});
+      "Large-frontier batched point queries, 4096 keys (keys/second)",
+      {"regime", "rate"});
+  double bsp = MeasureLargeFrontierBatch(*eh, /*frontier=*/4096,
+                                         std::max<size_t>(kQ / 4096, 4),
+                                         /*range=*/kWindow / 2, "partial");
+  PrintRow({"partial range (w/2)", FormatDouble(bsp, 0)});
+  double bsf = MeasureLargeFrontierBatch(*eh, /*frontier=*/4096,
+                                         std::max<size_t>(kQ / 4096, 4),
+                                         /*range=*/kWindow, "full");
+  PrintRow({"full window", FormatDouble(bsf, 0)});
 
   PrintHeader(
       "SelfJoin / EstimateL1 (calls/second): batched single-estimate "
-      "path vs legacy per-cell scans",
+      "path vs legacy per-cell loops",
       {"query", "regime", "batched", "legacy", "speedup"});
   Timestamp now = eh->Now();
   auto sj_fast = [&](const Probe& p) {
@@ -551,11 +518,8 @@ void Run() {
   PrintHeader(
       "RandomizedWave::Estimate at ~10k retained samples/level "
       "(estimates/second)",
-      {"path", "rate", "speedup"});
-  AblationPair rwp = MeasureRwEstimate(kQ, kQ / 40);
-  PrintRow({"indexed", FormatDouble(rwp.fast, 0),
-            FormatDouble(rwp.legacy > 0 ? rwp.fast / rwp.legacy : 0.0, 2)});
-  PrintRow({"linear-scan", FormatDouble(rwp.legacy, 0), "1"});
+      {"path", "rate"});
+  PrintRow({"indexed", FormatDouble(MeasureRwEstimate(kQ), 0)});
 
   PrintHeader(
       "Dyadic heavy-hitter sweeps over 16-bit keys (sweeps/second)",

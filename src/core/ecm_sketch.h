@@ -41,18 +41,6 @@
 
 namespace ecm {
 
-/// Which sweep PointQueryBatchAt runs over each sketch row.
-enum class BatchQueryMode : uint8_t {
-  /// Cost-model pick: bucket-sorted once the frontier is large enough to
-  /// amortize the per-row counting sort, scalar sweep below that. With
-  /// the row-major column matrix the sorted walk wins in both coverage
-  /// regimes (sequential counter access plus shared-column dedup), so
-  /// the cutover is on frontier size alone.
-  kAuto = 0,
-  kScalarSweep = 1,   ///< keys in caller order, one Estimate per (key, row)
-  kBucketSorted = 2,  ///< counting-sorted column walk, collisions deduped
-};
-
 /// Builds the per-counter configuration appropriate for each counter type
 /// from the sketch-level EcmConfig.
 template <SlidingWindowCounter Counter>
@@ -123,8 +111,7 @@ class EcmSketch {
   /// built from compatible configs (same dimensions/seed/window/mode).
   explicit EcmSketch(const EcmConfig& config)
       : config_(config),
-        hashes_(config.seed, std::min(config.depth, kMaxSketchDepth),
-                config.hash_reduction) {
+        hashes_(config.seed, std::min(config.depth, kMaxSketchDepth)) {
     assert(config.width > 0 && config.depth > 0 &&
            config.depth <= kMaxSketchDepth);
     // Defense in depth for hand-built configs: the one-pass update path
@@ -222,18 +209,16 @@ class EcmSketch {
   /// row-major — the access pattern the dyadic heavy-hitter frontier
   /// descent batches its sibling probes through.
   ///
-  /// `mode` picks the per-row sweep. kBucketSorted counting-sorts the
-  /// keys inside each row so counter accesses walk in ascending column
-  /// order (and column-colliding keys share one Estimate); kScalarSweep
-  /// visits keys in caller order with a look-ahead prefetch. kAuto
-  /// applies the cost model: sorted once the batch reaches
-  /// kBatchBucketSortThreshold keys — below that the counting sort's
-  /// fixed per-row cost outweighs its locality win. Per-key results are
-  /// bit-identical in every mode, because each estimate is independent
-  /// and the per-key min is order-free.
+  /// The per-row sweep follows a cost model on batch size alone. Batches
+  /// of at least kBatchBucketSortThreshold keys counting-sort the keys
+  /// inside each row, so counter accesses walk in ascending column order
+  /// and column-colliding keys share one Estimate; smaller batches visit
+  /// keys in caller order with a look-ahead prefetch, because the
+  /// counting sort's fixed per-row cost outweighs its locality win there.
+  /// Per-key results are bit-identical either way: each estimate is
+  /// independent and the per-key min is order-free.
   void PointQueryBatchAt(const uint64_t* keys, size_t n, uint64_t range,
-                         Timestamp now, double* out,
-                         BatchQueryMode mode = BatchQueryMode::kAuto) const {
+                         Timestamp now, double* out) const {
     if (n == 0) return;
     const size_t depth = static_cast<size_t>(config_.depth);
     static thread_local std::vector<uint64_t> mixed;
@@ -243,10 +228,7 @@ class EcmSketch {
     HashFamily::Mix64Batch(keys, n, mixed.data());
     hashes_.BucketsRowMajor(mixed.data(), n, config_.width, cols.data());
     std::fill(out, out + n, std::numeric_limits<double>::infinity());
-    const bool bucketed =
-        mode == BatchQueryMode::kBucketSorted ||
-        (mode == BatchQueryMode::kAuto && n >= kBatchBucketSortThreshold);
-    if (!bucketed) {
+    if (n < kBatchBucketSortThreshold) {
       constexpr size_t kLookAhead = 8;
       for (size_t j = 0; j < depth; ++j) {
         const Counter* row = &counters_[j * config_.width];
@@ -282,14 +264,6 @@ class EcmSketch {
         out[k] = std::min(out[k], prev_est);
       }
     }
-  }
-
-  /// The arrival-order batched reference: per-row sweep over the keys in
-  /// caller order, one Estimate per (key, row). Kept as the ablation
-  /// baseline for the bucket-sorted path above (bit-identical output).
-  void PointQueryBatchScalarAt(const uint64_t* keys, size_t n, uint64_t range,
-                               Timestamp now, double* out) const {
-    PointQueryBatchAt(keys, n, range, now, out, BatchQueryMode::kScalarSweep);
   }
 
   /// Batched admission check for the keyed counter store: heavy_out[k] = 1
@@ -577,27 +551,16 @@ class EcmSketch {
   }
 
  private:
-  // Merges one counter cell across the input sketches, dispatched on the
-  // counter type.
+  // Merges one counter cell across the input sketches: randomized waves
+  // unite their samples (§5.2), every deterministic counter replays its
+  // bucket log into a fresh counter of the merged config (§5.1).
   static Result<Counter> MergeCell(const std::vector<const Counter*>& cell,
                                    const EcmConfig& merged_cfg,
                                    uint64_t seed) {
-    if constexpr (std::is_same_v<Counter, ExponentialHistogram>) {
-      std::vector<const ExponentialHistogram*> in(cell.begin(), cell.end());
-      return MergeHistograms(in, merged_cfg.epsilon_sw);
-    } else if constexpr (std::is_same_v<Counter, DeterministicWave>) {
-      std::vector<const DeterministicWave*> in(cell.begin(), cell.end());
-      return MergeWaves(in, merged_cfg.epsilon_sw, merged_cfg.max_arrivals);
-    } else if constexpr (std::is_same_v<Counter, RandomizedWave>) {
-      std::vector<const RandomizedWave*> in(cell.begin(), cell.end());
-      return MergeRandomizedWaves(in, Mix64(merged_cfg.seed ^ seed));
+    if constexpr (std::is_same_v<Counter, RandomizedWave>) {
+      return MergeRandomizedWaves(cell, Mix64(merged_cfg.seed ^ seed));
     } else {
-      // Exact windows (tests): lossless replay of all retained arrivals.
-      std::vector<ReplayEvent> events;
-      for (const auto* c : cell) AppendBucketEvents(c->Buckets(), &events);
-      Counter merged(MakeCounterConfig<Counter>(merged_cfg));
-      ReplayInto(std::move(events), &merged);
-      return merged;
+      return MergeByReplay(cell, MakeCounterConfig<Counter>(merged_cfg));
     }
   }
 

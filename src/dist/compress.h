@@ -10,7 +10,7 @@
 //     rlz-store's factorizor).
 //
 // The sender falls back to a full image whenever the RLZ form stops
-// paying for itself (content drift past `max_compressed_fraction`) or the
+// paying for itself (content drift past kMaxCompressedFraction) or the
 // receiver's base is unknown (first contact, channel reset, transport
 // rejoin epoch change).
 //
@@ -92,12 +92,13 @@ enum class CompressionMode : uint8_t {
   kRlz = 2,   ///< RLZ against the previous image, full fallback
 };
 
+/// An RLZ image is shipped only if it is smaller than this fraction of
+/// the full snapshot; otherwise the full image goes out (drifted-too-far
+/// fallback, and it re-bases the channel).
+inline constexpr double kMaxCompressedFraction = 0.9;
+
 struct CompressionOptions {
   CompressionMode mode = CompressionMode::kRlz;
-  /// A compressed image is shipped only if it is smaller than this
-  /// fraction of the full snapshot; otherwise the full image goes out
-  /// (drifted-too-far fallback, and it re-bases the channel).
-  double max_compressed_fraction = 0.9;
   /// Transport rejoin epoch stamped into every compressed image. Bump on
   /// crash/rejoin (SocketTransport Options::epoch) so stale-base images
   /// from before the crash can never apply.
@@ -139,7 +140,7 @@ class SketchSender {
     SketchWireImage img;
     img.kind = SketchWireKind::kFull;
     const size_t budget = static_cast<size_t>(
-        static_cast<double>(full.size()) * opts_.max_compressed_fraction);
+        static_cast<double>(full.size()) * kMaxCompressedFraction);
     if (has_base_ && opts_.mode == CompressionMode::kRlz) {
       std::vector<uint8_t> rlz =
           RlzEncode(reference_, full.data(), full.size(), opts_.epoch);

@@ -13,6 +13,12 @@ constexpr uint8_t kConfigMagic[4] = {'E', 'C', 'M', 'C'};
 // the wrong buckets — stale encodings must be rejected, not misread).
 constexpr uint8_t kConfigWireVersion = 2;
 
+// The v2 hash-reduction byte. Fast range (2) is the only bucket mapping;
+// the byte stays on the wire so ECMS/ECMZ images keep their layout, and
+// any other value — 1 named the retired `raw % width` modulo mapping —
+// is rejected as corruption rather than decoded into the wrong buckets.
+constexpr uint8_t kFastRangeReduction = 2;
+
 // Upper bounds accepted from the wire. Real configs are far below these
 // (width = ceil(e/ε_cm), depth = ceil(ln 1/δ_cm)); the caps exist so a
 // corrupt dimension field cannot request a multi-gigabyte allocation.
@@ -83,7 +89,7 @@ std::vector<uint8_t> WrapWirePayload(const uint8_t (&magic)[4],
 void SerializeEcmConfig(const EcmConfig& cfg, ByteWriter* w) {
   w->PutRaw(kConfigMagic, sizeof(kConfigMagic));
   w->PutFixed<uint8_t>(kConfigWireVersion);
-  w->PutFixed<uint8_t>(static_cast<uint8_t>(cfg.hash_reduction));
+  w->PutFixed<uint8_t>(kFastRangeReduction);
   w->PutFixed<uint8_t>(static_cast<uint8_t>(cfg.mode));
   w->PutVarint(cfg.window_len);
   w->PutVarint(cfg.max_arrivals);
@@ -112,11 +118,9 @@ Result<EcmConfig> DeserializeEcmConfig(ByteReader* r) {
   EcmConfig cfg;
   auto reduction = r->GetFixed<uint8_t>();
   if (!reduction.ok()) return reduction.status();
-  if (*reduction != static_cast<uint8_t>(HashReduction::kModulo) &&
-      *reduction != static_cast<uint8_t>(HashReduction::kFastRange)) {
+  if (*reduction != kFastRangeReduction) {
     return Status::Corruption("config: unknown hash reduction");
   }
-  cfg.hash_reduction = static_cast<HashReduction>(*reduction);
   auto mode = r->GetFixed<uint8_t>();
   if (!mode.ok()) return mode.status();
   if (*mode > static_cast<uint8_t>(WindowMode::kCountBased)) {

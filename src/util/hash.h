@@ -9,11 +9,10 @@
 // Update-path layout: a sketch Add/PointQuery needs all d row buckets of
 // one key. BucketsMixed computes the Mix64 step once and derives every
 // row's bucket from the shared mixed word, and the bucket reduction uses
-// Lemire's multiply-shift fast range instead of a hardware divide. The
-// reduction is versioned (HashReduction) because changing it re-maps every
-// key: two sketches agree on bucket placement only if they share seed,
-// depth, AND reduction, and serialized sketches record the reduction so
-// stale encodings are rejected instead of silently misread.
+// Lemire's multiply-shift fast range instead of a hardware divide. Two
+// sketches agree on bucket placement iff they share seed and depth;
+// serialized configs still carry the reduction's wire byte so encodings
+// from a different reduction are rejected instead of silently misread.
 
 #ifndef ECM_UTIL_HASH_H_
 #define ECM_UTIL_HASH_H_
@@ -34,14 +33,6 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// How a 61-bit row hash is reduced to a bucket index in [0, width).
-/// Part of a sketch's identity: sketches (and their serialized forms) are
-/// only compatible when the reduction matches.
-enum class HashReduction : uint8_t {
-  kModulo = 1,     ///< legacy `raw % width` (hardware divide per row)
-  kFastRange = 2,  ///< Lemire multiply-shift on the hash's high 32 bits
-};
-
 /// Largest Count-Min depth the one-pass update path supports (also the
 /// cap enforced by the wire format). d = ceil(ln(1/δ)) reaches 64 only for
 /// δ < 2e-28, far beyond any practical failure budget.
@@ -60,9 +51,8 @@ class PairwiseHash {
   PairwiseHash(uint64_t seed_a, uint64_t seed_b);
 
   /// Hashes `key` into [0, width).
-  uint32_t Bucket(uint64_t key, uint32_t width,
-                  HashReduction reduction = HashReduction::kFastRange) const {
-    return Reduce(Raw(key), width, reduction);
+  uint32_t Bucket(uint64_t key, uint32_t width) const {
+    return Reduce(Raw(key), width);
   }
 
   /// The full 61-bit hash value before reduction to a bucket.
@@ -75,14 +65,10 @@ class PairwiseHash {
     return v >= kMersenne61 ? v - kMersenne61 : v;
   }
 
-  /// Reduces a 61-bit hash value to [0, width).
-  static uint32_t Reduce(uint64_t raw, uint32_t width,
-                         HashReduction reduction) {
-    if (reduction == HashReduction::kModulo) {
-      return static_cast<uint32_t>(raw % width);
-    }
-    // Lemire fast range over the hash's high 32 bits: raw < 2^61, so
-    // raw >> 29 is a uniform 32-bit word and the product fits 64 bits.
+  /// Reduces a 61-bit hash value to [0, width): Lemire fast range over
+  /// the hash's high 32 bits. raw < 2^61, so raw >> 29 is a uniform
+  /// 32-bit word and the product fits 64 bits.
+  static uint32_t Reduce(uint64_t raw, uint32_t width) {
     return static_cast<uint32_t>(((raw >> 29) * width) >> 32);
   }
 
@@ -101,26 +87,24 @@ class PairwiseHash {
 
 /// A family of `d` independent PairwiseHash functions, one per Count-Min
 /// row, all derived deterministically from a single seed. Two families
-/// built from the same (seed, d, reduction) are identical — the property
-/// that makes sketches mergeable across machines.
+/// built from the same (seed, d) are identical — the property that makes
+/// sketches mergeable across machines.
 class HashFamily {
  public:
   HashFamily() = default;
 
   /// Creates `d` hash functions seeded from `seed`.
-  explicit HashFamily(uint64_t seed, int d,
-                      HashReduction reduction = HashReduction::kFastRange);
+  explicit HashFamily(uint64_t seed, int d);
 
   /// Hashes key with function `row` into [0, width).
   uint32_t Bucket(int row, uint64_t key, uint32_t width) const {
-    return funcs_[row].Bucket(key, width, reduction_);
+    return funcs_[row].Bucket(key, width);
   }
 
   /// One-pass bucket computation: mixes `key` once and fills
   /// `out[0..depth)` with every row's bucket in [0, width). `out` must
   /// have room for depth() entries (kMaxSketchDepth always suffices).
-  /// kFastRange families go through the SIMD-dispatched row-parallel
-  /// kernel; kModulo keeps the scalar loop.
+  /// Goes through the SIMD-dispatched row-parallel kernel.
   void BucketsMixed(uint64_t key, uint32_t width, uint32_t* out) const {
     BucketsForMixed(Mix64(key), width, out);
   }
@@ -128,17 +112,8 @@ class HashFamily {
   /// BucketsMixed for a key that is already Mix64-ed — the shape batched
   /// callers use after one Mix64Batch pass over all keys.
   void BucketsForMixed(uint64_t mixed, uint32_t width, uint32_t* out) const {
-    const size_t d = funcs_.size();
-    if (reduction_ == HashReduction::kFastRange) {
-      internal::ActiveHashKernels().buckets_mixed(coeff_a_.data(),
-                                                  coeff_b_.data(), d, mixed,
-                                                  width, out);
-      return;
-    }
-    for (size_t row = 0; row < d; ++row) {
-      out[row] = PairwiseHash::Reduce(funcs_[row].RawMixed(mixed), width,
-                                      reduction_);
-    }
+    internal::ActiveHashKernels().buckets_mixed(
+        coeff_a_.data(), coeff_b_.data(), funcs_.size(), mixed, width, out);
   }
 
   /// out[k] = Mix64(keys[k]) for k in [0, n), SIMD-dispatched — the shared
@@ -156,13 +131,11 @@ class HashFamily {
 
   int depth() const { return static_cast<int>(funcs_.size()); }
   uint64_t seed() const { return seed_; }
-  HashReduction reduction() const { return reduction_; }
 
-  /// True iff the two families were built from the same seed, depth and
-  /// reduction (and therefore produce identical mappings).
+  /// True iff the two families were built from the same seed and depth
+  /// (and therefore produce identical mappings).
   bool SameAs(const HashFamily& other) const {
-    return seed_ == other.seed_ && funcs_.size() == other.funcs_.size() &&
-           reduction_ == other.reduction_;
+    return seed_ == other.seed_ && funcs_.size() == other.funcs_.size();
   }
 
   /// The SoA coefficient arrays are padded to a multiple of this many
@@ -172,7 +145,6 @@ class HashFamily {
 
  private:
   uint64_t seed_ = 0;
-  HashReduction reduction_ = HashReduction::kFastRange;
   std::vector<PairwiseHash> funcs_;
   // funcs_[i].a()/b() duplicated as padded structure-of-arrays so the
   // row-parallel kernel loads coefficients contiguously.

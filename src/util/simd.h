@@ -8,11 +8,10 @@
 // hand-written kernel variant the portable build executes.
 //
 // Every vector kernel has a scalar twin that is bit-identical (the hash
-// arithmetic is exact integer math), so forcing a tier — via
-// ForceSimdLevel() or the ECM_SIMD environment variable — changes speed,
-// never results. Tests run the full matrix (forced-scalar, forced-SSE2,
-// forced-AVX2, auto) against the scalar reference; benches force tiers to
-// record ablation rows.
+// arithmetic is exact integer math), so forcing a tier with
+// ForceSimdLevel() changes speed, never results. Tests run forced-scalar,
+// forced-AVX2 and auto against the scalar reference; benches force the
+// scalar tier to record ablation rows.
 
 #ifndef ECM_UTIL_SIMD_H_
 #define ECM_UTIL_SIMD_H_
@@ -22,12 +21,11 @@
 namespace ecm {
 
 /// Instruction-set tiers the hand-written kernels exist for, in strictly
-/// increasing capability order. kSSE2 is the x86-64 baseline (always
-/// available there); kAVX2 requires a cpuid probe; non-x86 builds detect
-/// kScalar.
+/// increasing capability order. kAVX2 requires a cpuid probe; everything
+/// else (non-x86 builds, pre-AVX2 CPUs) runs kScalar. The values are
+/// stable: bench rows parameterize on them.
 enum class SimdLevel : uint8_t {
   kScalar = 0,
-  kSSE2 = 1,
   kAVX2 = 2,
 };
 
@@ -38,24 +36,18 @@ SimdLevel DetectedSimdLevel();
 bool SimdLevelSupported(SimdLevel level);
 
 /// The tier kernels dispatch to: a ForceSimdLevel() override if one is
-/// set, else the ECM_SIMD environment variable ("scalar" / "sse2" /
-/// "avx2"; "auto" or unset defers), else DetectedSimdLevel().
+/// set, else DetectedSimdLevel().
 SimdLevel ActiveSimdLevel();
 
 /// Pins dispatch to `level` (tests and bench ablations). Returns false —
 /// and changes nothing — if the CPU cannot execute that tier.
 bool ForceSimdLevel(SimdLevel level);
 
-/// Clears a ForceSimdLevel() override (back to ECM_SIMD / detection).
+/// Clears a ForceSimdLevel() override (back to detection).
 void ResetSimdLevel();
 
-/// "scalar" / "sse2" / "avx2" (stable, matches the ECM_SIMD spellings).
+/// "scalar" / "avx2" (stable: bench row names use it).
 const char* SimdLevelName(SimdLevel level);
-
-/// Parses an ECM_SIMD-style spelling. Returns true and sets *out for the
-/// three tier names; returns false for "auto", empty, or garbage (callers
-/// treat that as "no override").
-bool ParseSimdLevel(const char* name, SimdLevel* out);
 
 /// Read-prefetch of the cache line holding `p` (no-op where unsupported).
 /// The d-row sketch walks issue these for all d counter slots before

@@ -1,14 +1,12 @@
 // Hand-vectorized hash kernels behind the runtime SIMD dispatch.
 //
-// All three kernels implement exact 61-bit Carter–Wegman arithmetic
-// (util/hash.h) with integer SIMD, so every tier is bit-identical to the
-// scalar reference — the property the sketch depends on, since bucket
-// placement is part of a sketch's identity. Only the kFastRange reduction
-// is vectorized; HashFamily falls back to the scalar loop for the legacy
-// kModulo reduction (a per-lane 64-bit divide has no SIMD form worth
-// carrying).
+// All three kernels implement exact 61-bit Carter–Wegman arithmetic and
+// the fast-range bucket reduction (util/hash.h) with integer SIMD, so the
+// AVX2 tier is bit-identical to the scalar reference — the property the
+// sketch depends on, since bucket placement is part of a sketch's
+// identity.
 //
-// The kernels come as function-pointer tables, one per SimdLevel, all
+// The kernels come as function-pointer tables, one per SimdLevel, both
 // compiled into the portable build via per-function target attributes —
 // stock Release binaries carry the AVX2 code and select it at run time.
 

@@ -186,8 +186,8 @@ double ExponentialHistogram::Estimate(Timestamp now, uint64_t range) const {
   // bucket is in range. One binary search inside that level finds the
   // oldest in-range bucket; every lower level contributes its whole
   // weight off the directory without touching bucket storage. In-range
-  // weight accumulates in integers, so the result is bit-identical to
-  // the per-level scan (EstimateScanReference) for masses below 2^53.
+  // weight accumulates in integers, so the result is bit-identical to a
+  // bucket-by-bucket sum over Buckets() for masses below 2^53.
   uint64_t weight = 0;
   double straddle = 0.0;
   for (size_t i = top_level_ + 1; i-- > 0;) {
@@ -263,51 +263,6 @@ Timestamp ExponentialHistogram::NextEstimateChangeAt(Timestamp now,
   }
   if (candidate == std::numeric_limits<uint64_t>::max()) return 0;
   return candidate + range;
-}
-
-double ExponentialHistogram::EstimateScanReference(Timestamp now,
-                                                   uint64_t range) const {
-  assert(now >= last_ts_);
-  if (range > window_len_) range = window_len_;
-  Timestamp boundary = WindowStart(now, range);
-
-  // The pre-PR4 query path: every level binary-searched independently,
-  // partial sums accumulated in doubles top-down.
-  double sum = 0.0;
-  bool first_included = true;
-  for (size_t i = NumLevels(); i-- > 0;) {
-    const uint32_t n = level_count_[i];
-    if (n == 0 || At(i, n - 1).end <= boundary) continue;
-    uint32_t lo = 0, hi = n;
-    while (lo < hi) {
-      uint32_t mid = lo + (hi - lo) / 2;
-      if (At(i, mid).end <= boundary) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    double size = static_cast<double>(1ULL << i);
-    sum += size * static_cast<double>(n - lo);
-    if (first_included) {
-      Timestamp prev_end = expired_end_;
-      if (lo > 0) {
-        prev_end = At(i, lo - 1).end;
-      } else {
-        for (size_t j = i + 1; j < NumLevels(); ++j) {
-          if (level_count_[j] > 0) {
-            prev_end = At(j, level_count_[j] - 1).end;
-            break;
-          }
-        }
-      }
-      bool fully_inside =
-          boundary == 0 || prev_end > boundary || prev_end >= At(i, lo).end;
-      if (!fully_inside) sum -= size / 2.0;
-      first_included = false;
-    }
-  }
-  return sum;
 }
 
 size_t ExponentialHistogram::AllocatedSlots() const {

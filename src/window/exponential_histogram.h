@@ -86,13 +86,6 @@ class ExponentialHistogram {
   /// without touching bucket storage.
   double Estimate(Timestamp now, uint64_t range) const;
 
-  /// Pre-PR4 reference implementation of Estimate: the per-level scan
-  /// that binary-searches every level's ring independently. Bit-identical
-  /// to Estimate() for in-window masses below 2^53 (both paths then sum
-  /// exactly representable doubles) — kept as the differential-test
-  /// oracle and the bench ablation baseline.
-  double EstimateScanReference(Timestamp now, uint64_t range) const;
-
   /// Estimate over the full window length.
   double EstimateWindow(Timestamp now) const {
     return Estimate(now, window_len());

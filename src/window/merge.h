@@ -20,6 +20,7 @@
 #define ECM_WINDOW_MERGE_H_
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "src/util/result.h"
@@ -51,19 +52,33 @@ void ReplayInto(std::vector<ReplayEvent> events, C* target) {
   for (const ReplayEvent& e : events) target->Add(e.ts, e.count);
 }
 
-/// Merges time-based exponential histograms (§5.1, Theorem 4). The result
-/// is a fresh histogram with error parameter `eps_prime` covering the same
-/// window; querying it carries relative error <= ε + ε' + εε'.
-/// Fails if the inputs disagree on window length.
-Result<ExponentialHistogram> MergeHistograms(
-    const std::vector<const ExponentialHistogram*>& inputs, double eps_prime);
-
-/// Merges time-based deterministic waves ("the aggregation technique
-/// trivially extends for deterministic waves", §5.1). `max_arrivals` sizes
-/// the merged wave's levels; pass the sum of per-stream bounds.
-Result<DeterministicWave> MergeWaves(
-    const std::vector<const DeterministicWave*>& inputs, double eps_prime,
-    uint64_t max_arrivals);
+/// Merges time-based deterministic synopses — exponential histograms
+/// (§5.1, Theorem 4), deterministic waves ("the aggregation technique
+/// trivially extends for deterministic waves", §5.1) or exact windows —
+/// by replaying every input's bucket log into a fresh counter built from
+/// `merged_cfg`. For EH/DW inputs of error ε and a merged error parameter
+/// ε' (merged_cfg.epsilon), querying the result carries relative error
+/// <= ε + ε' + εε'. A merged wave's `max_arrivals` should be the sum of
+/// the per-stream bounds. Fails if an input's window differs from
+/// merged_cfg.window_len.
+template <BucketExportingCounter C>
+Result<C> MergeByReplay(const std::vector<const C*>& inputs,
+                        const typename C::Config& merged_cfg) {
+  if (inputs.empty()) {
+    return Status::InvalidArgument("MergeByReplay: no inputs");
+  }
+  std::vector<ReplayEvent> events;
+  for (const C* c : inputs) {
+    if (c->window_len() != merged_cfg.window_len) {
+      return Status::Incompatible(
+          "MergeByReplay: an input's window differs from the merged one");
+    }
+    AppendBucketEvents(c->Buckets(), &events);
+  }
+  C merged(merged_cfg);
+  ReplayInto(std::move(events), &merged);
+  return merged;
+}
 
 /// Losslessly merges randomized waves (§5.2): per level, the union of the
 /// input samples sorted by timestamp, truncated to the level capacity; if

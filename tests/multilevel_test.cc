@@ -50,7 +50,8 @@ HierarchyResult BuildHierarchy(int h, double eps, uint64_t seed) {
   while (level.size() > 1) {
     std::vector<ExponentialHistogram> next;
     for (size_t i = 0; i + 1 < level.size(); i += 2) {
-      auto m = MergeHistograms({&level[i], &level[i + 1]}, eps);
+      auto m = MergeByReplay<ExponentialHistogram>(
+          {&level[i], &level[i + 1]}, {eps, kWindow});
       EXPECT_TRUE(m.ok());
       next.push_back(std::move(*m));
     }
@@ -100,7 +101,8 @@ TEST(MultiLevelTest, RepeatedSelfMergeDoesNotCollapse) {
   ExponentialHistogram current = eh;
   for (int round = 0; round < 6; ++round) {
     ExponentialHistogram empty({0.1, kWindow});
-    auto m = MergeHistograms({&current, &empty}, 0.1);
+    auto m =
+        MergeByReplay<ExponentialHistogram>({&current, &empty}, {0.1, kWindow});
     ASSERT_TRUE(m.ok());
     current = std::move(*m);
   }

@@ -1,21 +1,24 @@
-// Estimate-equivalence suite for the PR-4 query-pipeline overhaul: every
-// new indexed/batched query path must reproduce the legacy scan
-// implementations exactly.
+// Estimate-equivalence suite: every indexed/batched query path must
+// reproduce a plain reference computation exactly.
 //
 //  * ExponentialHistogram::Estimate (running-total fast path + single
-//    straddling-level search) vs EstimateScanReference — bit-identical;
-//  * RandomizedWave::Estimate (run prefix-sum lookup) vs
-//    EstimateScanReference — bit-identical (same integer sums), including
-//    after serialization round-trips and §5.2 k-way merges;
+//    straddling-level search) vs a bucket-by-bucket sum over Buckets() —
+//    bit-identical, including after serialization round-trips and §5.1
+//    replay merges;
+//  * RandomizedWave::Estimate (run prefix-sum lookup) vs a linear run walk
+//    over subwaves() — bit-identical (same integer sums), including after
+//    serialization round-trips and §5.2 k-way merges;
 //  * EcmSketch::InnerProduct/SelfJoin/EstimateL1 batched paths vs the
 //    per-cell double-Estimate loops — bit-identical (same values, same
 //    accumulation order), plus L1 memoization invalidation on update;
-//  * EcmSketch::PointQueryBatchAt vs per-key PointQueryAt;
+//  * EcmSketch::PointQueryBatchAt (both sides of its sweep cost model) vs
+//    per-key PointQueryAt;
 //  * DyadicEcm frontier heavy-hitter descent vs the recursive per-node
 //    group-testing descent — same keys, estimates and order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -31,8 +34,97 @@ namespace {
 
 constexpr uint64_t kWindow = 4096;
 
-// Feeds a randomized weighted stream and cross-checks the fast and scan
-// estimates at random read clocks and ranges (including over-length).
+// --- estimate oracles over the counters' public state ----------------------
+
+// EH: sums the bucket log oldest-first. The oldest in-range bucket counts
+// half when it straddles the window boundary (paper §3): its start — the
+// next-older bucket's end, or the expiry watermark — is at or before the
+// boundary and it spans a positive width.
+double EhEstimateOracle(const ExponentialHistogram& eh, Timestamp now,
+                        uint64_t range) {
+  const Timestamp boundary = WindowStart(now, std::min(range, eh.window_len()));
+  double sum = 0.0;
+  bool oldest = true;
+  for (const BucketView& b : eh.Buckets()) {
+    if (b.end <= boundary) continue;
+    sum += static_cast<double>(b.size);
+    if (oldest) {
+      const bool fully_inside =
+          boundary == 0 || b.start > boundary || b.start >= b.end;
+      if (!fully_inside) sum -= static_cast<double>(b.size) / 2.0;
+      oldest = false;
+    }
+  }
+  return sum;
+}
+
+// RW: per sub-wave, the finest level whose retained sample still reaches
+// the boundary, its in-range runs counted one by one and scaled by 2^l
+// (the coarsest level's whole sample when no level reaches); the median
+// over sub-waves.
+double RwEstimateOracle(const RandomizedWave& rw, Timestamp now,
+                        uint64_t range) {
+  const Timestamp boundary = WindowStart(now, std::min(range, rw.window_len()));
+  const int top = rw.num_levels() - 1;
+  std::vector<double> ests;
+  for (const RandomizedWave::SubWave& sw : rw.subwaves()) {
+    double est = static_cast<double>(sw.sizes[top]) *
+                 static_cast<double>(1ULL << top);
+    for (int l = 0; l <= top; ++l) {
+      const auto& level = sw.levels[l];
+      if (sw.truncated[l] && (level.empty() || level.front().ts > boundary)) {
+        continue;
+      }
+      uint64_t in_range = 0;
+      for (const RandomizedWave::Sample& run : level) {
+        if (run.ts > boundary) in_range += run.count;
+      }
+      est = static_cast<double>(in_range) * static_cast<double>(1ULL << l);
+      break;
+    }
+    ests.push_back(est);
+  }
+  auto mid = ests.begin() + ests.size() / 2;
+  std::nth_element(ests.begin(), mid, ests.end());
+  return *mid;
+}
+
+double Oracle(const ExponentialHistogram& c, Timestamp now, uint64_t range) {
+  return EhEstimateOracle(c, now, range);
+}
+double Oracle(const RandomizedWave& c, Timestamp now, uint64_t range) {
+  return RwEstimateOracle(c, now, range);
+}
+
+ExponentialHistogram MakeEh(uint64_t) {
+  return ExponentialHistogram({0.05, kWindow});
+}
+
+RandomizedWave MakeRw(uint64_t seed) {
+  RandomizedWave::Config cfg;
+  cfg.epsilon = 0.1;
+  cfg.delta = 0.1;
+  cfg.window_len = kWindow;
+  cfg.max_arrivals = 1 << 18;
+  cfg.seed = seed;
+  return RandomizedWave(cfg);
+}
+
+// Asserts the fast estimate equals the oracle at a spread of read clocks
+// and ranges (including over-length ones).
+template <typename Counter>
+void ExpectMatchesOracle(const Counter& c, Timestamp last, Rng* rng,
+                         const char* what) {
+  for (int q = 0; q < 8; ++q) {
+    Timestamp now = last + rng->Uniform(40);
+    uint64_t range = 1 + rng->Uniform(kWindow + kWindow / 3);
+    ASSERT_EQ(c.Estimate(now, range), Oracle(c, now, range))
+        << what << " now " << now << " range " << range;
+  }
+}
+
+// Feeds a randomized weighted stream and cross-checks the fast estimate
+// against the oracle after every arrival.
 template <typename Counter, typename MakeFn>
 void CheckCounterEquivalence(MakeFn make, int streams, int ops) {
   for (int s = 0; s < streams; ++s) {
@@ -43,92 +135,86 @@ void CheckCounterEquivalence(MakeFn make, int streams, int ops) {
       t += rng.Uniform(60);
       c.Add(t, 1 + rng.Uniform(200));
       if (rng.Uniform(4) == 0) c.Add(t, 1 + rng.Uniform(30));  // equal ts
-      Timestamp now = t + rng.Uniform(40);
       for (int q = 0; q < 4; ++q) {
+        Timestamp now = t + rng.Uniform(40);
         uint64_t range = 1 + rng.Uniform(kWindow + kWindow / 3);
-        ASSERT_EQ(c.Estimate(now, range), c.EstimateScanReference(now, range))
-            << "stream " << s << " op " << op << " now " << now << " range "
-            << range;
+        ASSERT_EQ(c.Estimate(now, range), Oracle(c, now, range))
+            << "stream " << s << " op " << op << " now " << now
+            << " range " << range;
       }
     }
   }
 }
 
-TEST(QueryEquivalenceTest, EhEstimateMatchesScanReference) {
-  CheckCounterEquivalence<ExponentialHistogram>(
-      [](uint64_t) {
-        return ExponentialHistogram({0.05, kWindow});
-      },
-      40, 120);
+TEST(QueryEquivalenceTest, EhEstimateMatchesOracle) {
+  CheckCounterEquivalence<ExponentialHistogram>(MakeEh, 40, 120);
 }
 
-TEST(QueryEquivalenceTest, RwEstimateMatchesScanReference) {
-  CheckCounterEquivalence<RandomizedWave>(
-      [](uint64_t seed) {
-        RandomizedWave::Config cfg;
-        cfg.epsilon = 0.1;
-        cfg.delta = 0.1;
-        cfg.window_len = kWindow;
-        cfg.max_arrivals = 1 << 18;
-        cfg.seed = seed;
-        return RandomizedWave(cfg);
-      },
-      20, 120);
+TEST(QueryEquivalenceTest, RwEstimateMatchesOracle) {
+  CheckCounterEquivalence<RandomizedWave>(MakeRw, 20, 120);
 }
 
-TEST(QueryEquivalenceTest, RwEstimateMatchesScanAfterRoundTrip) {
-  RandomizedWave::Config cfg;
-  cfg.epsilon = 0.1;
-  cfg.window_len = kWindow;
-  cfg.max_arrivals = 1 << 16;
-  cfg.seed = 17;
-  RandomizedWave rw(cfg);
+// Decoding must rebuild the indexed query state (EH level directory and
+// running total, RW run cumulative counts) consistently.
+template <typename Counter, typename MakeFn>
+void CheckOracleAfterRoundTrip(MakeFn make) {
+  Counter c = make(17);
   Rng rng(99);
   Timestamp t = 1;
   for (int i = 0; i < 400; ++i) {
     t += rng.Uniform(30);
-    rw.Add(t, 1 + rng.Uniform(100));
+    c.Add(t, 1 + rng.Uniform(100));
   }
   ByteWriter w;
-  rw.SerializeTo(&w);
+  c.SerializeTo(&w);
   ByteReader r(w.bytes());
-  auto back = RandomizedWave::Deserialize(&r);
+  auto back = Counter::Deserialize(&r);
   ASSERT_TRUE(back.ok());
-  const uint64_t ranges[] = {7, 133, 1024, kWindow};
-  for (uint64_t range : ranges) {
-    // The decoded wave's run cumulative counts must be consistent: its
-    // indexed estimate equals both its own scan and the original's.
-    EXPECT_EQ(back->Estimate(t, range), back->EstimateScanReference(t, range));
-    EXPECT_EQ(back->Estimate(t, range), rw.Estimate(t, range));
+  ExpectMatchesOracle(*back, t, &rng, "decoded");
+  for (uint64_t range : {uint64_t{7}, uint64_t{133}, uint64_t{1024}, kWindow}) {
+    EXPECT_EQ(back->Estimate(t, range), c.Estimate(t, range));
   }
 }
 
-TEST(QueryEquivalenceTest, RwEstimateMatchesScanAfterMerge) {
-  std::vector<RandomizedWave> waves;
+TEST(QueryEquivalenceTest, EhEstimateMatchesOracleAfterRoundTrip) {
+  CheckOracleAfterRoundTrip<ExponentialHistogram>(MakeEh);
+}
+
+TEST(QueryEquivalenceTest, RwEstimateMatchesOracleAfterRoundTrip) {
+  CheckOracleAfterRoundTrip<RandomizedWave>(MakeRw);
+}
+
+// Three interleaved streams into three counters, merged; the merged
+// counter's query state must be consistent with its own contents.
+template <typename Counter, typename MakeFn, typename MergeFn>
+void CheckOracleAfterMerge(MakeFn make, MergeFn merge) {
+  std::vector<Counter> parts;
+  for (uint64_t i = 0; i < 3; ++i) parts.push_back(make(100 + i));
   Rng rng(5);
   Timestamp t = 1;
-  for (int i = 0; i < 3; ++i) {
-    RandomizedWave::Config cfg;
-    cfg.epsilon = 0.15;
-    cfg.window_len = kWindow;
-    cfg.max_arrivals = 1 << 14;
-    cfg.seed = 100 + static_cast<uint64_t>(i);
-    waves.emplace_back(cfg);
-  }
   for (int op = 0; op < 600; ++op) {
     t += rng.Uniform(20);
-    waves[rng.Uniform(3)].Add(t, 1 + rng.Uniform(50));
+    parts[rng.Uniform(3)].Add(t, 1 + rng.Uniform(50));
   }
-  std::vector<const RandomizedWave*> inputs;
-  for (const auto& w : waves) inputs.push_back(&w);
-  auto merged = MergeRandomizedWaves(inputs, 0xFEED);
+  std::vector<const Counter*> inputs;
+  for (const Counter& c : parts) inputs.push_back(&c);
+  auto merged = merge(inputs);
   ASSERT_TRUE(merged.ok());
-  const uint64_t ranges[] = {19, 512, kWindow};
-  for (uint64_t range : ranges) {
-    // The k-way merged wave's cumulative counts must be consistent too.
-    EXPECT_EQ(merged->Estimate(t, range),
-              merged->EstimateScanReference(t, range));
-  }
+  ExpectMatchesOracle(*merged, t, &rng, "merged");
+}
+
+TEST(QueryEquivalenceTest, EhEstimateMatchesOracleAfterMerge) {
+  CheckOracleAfterMerge<ExponentialHistogram>(
+      MakeEh, [](const std::vector<const ExponentialHistogram*>& in) {
+        return MergeByReplay(in, ExponentialHistogram::Config{0.05, kWindow});
+      });
+}
+
+TEST(QueryEquivalenceTest, RwEstimateMatchesOracleAfterMerge) {
+  CheckOracleAfterMerge<RandomizedWave>(
+      MakeRw, [](const std::vector<const RandomizedWave*>& in) {
+        return MergeRandomizedWaves(in, 0xFEED);
+      });
 }
 
 // Builds a moderately loaded EH sketch for the sketch-level checks.
@@ -153,25 +239,25 @@ TEST(QueryEquivalenceTest, BatchedSelfJoinMatchesPerCellLoops) {
   const EcmConfig& cfg = sketch.config();
   const uint64_t ranges[] = {64, 777, kWindow};
   for (uint64_t range : ranges) {
-    // Per-cell reference with the new counter estimates (exercises the
+    // Per-cell reference with the counter estimates (exercises the
     // batching plumbing alone) ...
     double ref_new = std::numeric_limits<double>::infinity();
-    // ... and with the legacy scans (the full pre-PR4 pipeline).
-    double ref_legacy = std::numeric_limits<double>::infinity();
+    // ... and with the bucket-log oracle (no indexed counter path at all).
+    double ref_oracle = std::numeric_limits<double>::infinity();
     for (int j = 0; j < cfg.depth; ++j) {
-      double row_new = 0.0, row_legacy = 0.0;
+      double row_new = 0.0, row_oracle = 0.0;
       for (uint32_t i = 0; i < cfg.width; ++i) {
         const ExponentialHistogram& c = sketch.CounterAt(j, i);
         row_new += c.Estimate(now, range) * c.Estimate(now, range);
-        row_legacy += c.EstimateScanReference(now, range) *
-                      c.EstimateScanReference(now, range);
+        row_oracle += EhEstimateOracle(c, now, range) *
+                      EhEstimateOracle(c, now, range);
       }
       ref_new = std::min(ref_new, row_new);
-      ref_legacy = std::min(ref_legacy, row_legacy);
+      ref_oracle = std::min(ref_oracle, row_oracle);
     }
     double batched = sketch.InnerProductAt(sketch, range, now).value();
     EXPECT_EQ(batched, ref_new) << "range " << range;
-    EXPECT_EQ(batched, ref_legacy) << "range " << range;
+    EXPECT_EQ(batched, ref_oracle) << "range " << range;
   }
 }
 
@@ -234,54 +320,25 @@ TEST(QueryEquivalenceTest, EstimateL1MatchesPerCellSweepAndInvalidates) {
 }
 
 TEST(QueryEquivalenceTest, PointQueryBatchMatchesPerKeyQueries) {
-  Timestamp now = 0;
-  EcmEh sketch = MakeLoadedSketch(51, &now);
-  std::vector<uint64_t> keys;
-  for (uint64_t k = 0; k < 257; ++k) keys.push_back(k * 31 % 500);
-  std::vector<double> batched(keys.size());
-  const uint64_t ranges[] = {64, kWindow};
-  for (uint64_t range : ranges) {
-    sketch.PointQueryBatchAt(keys.data(), keys.size(), range, now,
-                             batched.data());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      EXPECT_EQ(batched[i], sketch.PointQueryAt(keys[i], range, now))
-          << "key " << keys[i] << " range " << range;
-    }
-  }
-}
-
-TEST(QueryEquivalenceTest, PointQueryBatchBucketSortMatchesScalarSweep) {
-  // Every explicit sweep mode — and the cost-model auto pick — must be
-  // bit-identical to the arrival-order scalar sweep (kept as the
-  // ablation reference), duplicates included.
+  // Batch sizes straddle the sweep cost model's cutover (64 keys: the
+  // caller-order sweep below, the bucket-sorted column walk from there
+  // on); keys repeat, so column-colliding and duplicate keys share one
+  // Estimate in the sorted walk.
   Timestamp now = 0;
   EcmEh sketch = MakeLoadedSketch(61, &now);
   Rng rng(77);
   std::vector<uint64_t> keys;
   for (int i = 0; i < 5'000; ++i) keys.push_back(rng.Uniform(700));
-  std::vector<double> got(keys.size()), scalar(keys.size());
+  std::vector<double> got(keys.size());
   const uint64_t ranges[] = {64, kWindow / 3, kWindow};
-  const BatchQueryMode modes[] = {BatchQueryMode::kAuto,
-                                  BatchQueryMode::kScalarSweep,
-                                  BatchQueryMode::kBucketSorted};
-  for (uint64_t range : ranges) {
-    sketch.PointQueryBatchScalarAt(keys.data(), keys.size(), range, now,
-                                   scalar.data());
-    for (BatchQueryMode mode : modes) {
-      sketch.PointQueryBatchAt(keys.data(), keys.size(), range, now,
-                               got.data(), mode);
-      for (size_t i = 0; i < keys.size(); ++i) {
-        ASSERT_EQ(got[i], scalar[i])
-            << "key " << keys[i] << " range " << range << " mode "
-            << static_cast<int>(mode);
+  for (size_t n : {size_t{5}, size_t{63}, size_t{64}, keys.size()}) {
+    for (uint64_t range : ranges) {
+      sketch.PointQueryBatchAt(keys.data(), n, range, now, got.data());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], sketch.PointQueryAt(keys[i], range, now))
+            << "key " << keys[i] << " range " << range << " n " << n;
       }
     }
-  }
-  // Tiny frontiers (below the auto sort threshold) agree in every mode.
-  sketch.PointQueryBatchScalarAt(keys.data(), 5, kWindow, now, scalar.data());
-  for (BatchQueryMode mode : modes) {
-    sketch.PointQueryBatchAt(keys.data(), 5, kWindow, now, got.data(), mode);
-    for (size_t i = 0; i < 5; ++i) EXPECT_EQ(got[i], scalar[i]);
   }
 }
 

@@ -47,21 +47,23 @@ TEST(SerializeConfigTest, RejectsGarbage) {
   EXPECT_FALSE(DeserializeEcmConfig(&r).ok());
 }
 
-TEST(SerializeConfigTest, RoundTripsHashReduction) {
+TEST(SerializeConfigTest, CarriesFastRangeReductionAndRejectsModulo) {
+  // Byte 5 (after the 4-byte magic and the wire version) names the bucket
+  // reduction: 2 is fast range, the only mapping. 1 named the retired
+  // `raw % width` mapping; decoding it would answer from the wrong
+  // buckets, so it is corruption.
   auto cfg = EcmConfig::Create(0.1, 0.1, WindowMode::kTimeBased, 1000, 7);
   ASSERT_TRUE(cfg.ok());
-  cfg->hash_reduction = HashReduction::kModulo;
   ByteWriter w;
   SerializeEcmConfig(*cfg, &w);
-  ByteReader r(w.bytes());
+  std::vector<uint8_t> bytes = w.bytes();
+  ASSERT_GT(bytes.size(), 5u);
+  EXPECT_EQ(bytes[5], 2);
+  bytes[5] = 1;
+  ByteReader r(bytes.data(), bytes.size());
   auto back = DeserializeEcmConfig(&r);
-  ASSERT_TRUE(back.ok()) << back.status();
-  EXPECT_EQ(back->hash_reduction, HashReduction::kModulo);
-  // A config using the other reduction maps keys differently and must not
-  // be considered compatible.
-  EcmConfig other = *cfg;
-  other.hash_reduction = HashReduction::kFastRange;
-  EXPECT_FALSE(back->CompatibleWith(other));
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
 }
 
 TEST(SerializeConfigTest, RejectsUnversionedLegacyEncoding) {
