@@ -284,24 +284,11 @@ class EcmSketch {
     }
   }
 
-  /// Single-row contribution to a point query: the estimate of the one
-  /// counter `key` hashes to in row `row`. The geometric point monitor
-  /// (§6.2) treats the d per-row values as the key's statistics vector.
-  double PointQueryRowAt(uint64_t key, int row, uint64_t range,
-                         Timestamp now) const {
-    return CounterAt(row, hashes_.Bucket(row, key, config_.width))
-        .Estimate(now, range);
-  }
-
-  /// All d per-row contributions of `key` at once (out[0..depth)): the
-  /// statistics vector of the geometric point monitor, materialized with
-  /// a single Mix64 pass instead of one hash per row. out[j] ==
-  /// PointQueryRowAt(key, j, range, now). When `cols_out` is non-null it
-  /// additionally receives the key's d row buckets — the incremental
-  /// drift tracker (dist/geometric.h) uses them to locate the touched
-  /// statistics-vector entries without a second hash pass.
+  /// The d per-row contributions of `key` (out[0..depth)): the statistics
+  /// vector of the geometric point monitor, materialized with a single
+  /// Mix64 pass instead of one hash per row.
   void PointQueryRowsAt(uint64_t key, uint64_t range, Timestamp now,
-                        double* out, uint32_t* cols_out = nullptr) const {
+                        double* out) const {
     uint32_t cols[kMaxSketchDepth];
     hashes_.BucketsMixed(key, config_.width, cols);
     for (int j = 0; j < config_.depth; ++j) {
@@ -310,7 +297,6 @@ class EcmSketch {
     }
     for (int j = 0; j < config_.depth; ++j) {
       out[j] = CounterAt(j, cols[j]).Estimate(now, range);
-      if (cols_out) cols_out[j] = cols[j];
     }
   }
 
@@ -440,16 +426,6 @@ class EcmSketch {
     for (uint32_t i = 0; i < config_.width; ++i) {
       out[i] = base[i].Estimate(now, range);
     }
-  }
-
-  /// Extracts one row's counter estimates for range `range` as a dense
-  /// vector — the "statistics vector" representation used by the geometric
-  /// monitor (§6.2).
-  std::vector<double> RowEstimates(int row, uint64_t range,
-                                   Timestamp now) const {
-    std::vector<double> out(config_.width);
-    EstimateRowAt(row, range, now, out.data());
-    return out;
   }
 
   /// Merges time-based sketches into a sketch of the order-preserving

@@ -9,30 +9,35 @@
 // certified on that side; a ball touching the surface is a local
 // violation and forces a sync.
 //
-// Two monitors are provided, both counter-generic over the runtime's
-// Site<Counter> and charging syncs through its Transport:
+// Two monitors are provided, both counter-generic. Each keeps its sites
+// and Transport in one runtime Coordinator (dist/runtime.h) and charges
+// its syncs through that Transport:
 //  * GeometricSelfJoinMonitorT — f is the sliding-window self-join size F₂
 //    (statistics vector = the site's full w×d counter-estimate grid);
 //  * GeometricPointMonitorT — f is one key's windowed count (statistics
 //    vector = the d per-row estimates of that key), the paper's §1
 //    distributed-trigger scenario.
 //
-// The sync/cadence state machine is identical for every choice of f, so
-// it lives once in GeometricMonitorBase (CRTP): ingest + drift
-// maintenance + sphere-test cadence on the local path, collect + average
-// + re-arm + wire charging on the sync path, and the stats aggregation.
-// A derived monitor supplies only the geometry of its f:
-//    UpdateDrift(st, key)   O(d) incremental drift maintenance
-//    RefreshVector(st)      full statistics-vector rebuild
-//    SphereViolation(st)    the local ball-vs-surface test
-//    InstallAverage()       f on the fresh global average + per-site
-//                           re-arm of f-specific ball state
+// Everything that does not depend on f lives once in GeometricMonitorBase
+// (CRTP): ingest + cadence on the local path, collect + average + re-arm
+// + wire charging on the sync path, the stats aggregation, the expiry
+// heap, and the per-cell drift update (estimate the cell, move ‖δ‖² by
+// difference, reschedule the cell). A derived monitor supplies only the
+// geometry of its f:
+//    UpdateDrift(sk, st, key)  the cells an arrival of `key` touched
+//    CellCounter(sk, cell)     the counter behind one vector cell
+//    LoadVector(sk, st)        full statistics-vector rebuild
+//    OnCellDrift(st, cell, ..) optional: f-specific ball state moved by
+//                              one cell's drift (self-join row norms)
+//    SphereViolation(st)       the local ball-vs-surface test
+//    InstallAverage()          f on the fresh global average + per-site
+//                              re-arm of f-specific ball state
 //
 // Drift tracking (the steady-state cost of the local sphere test):
 //  * kIncremental (default) — each arrival touches exactly one counter
 //    per row, so the site updates only those d statistics-vector entries
-//    (located via the sketch's PointQueryRowsAt hook) and maintains
-//    ‖δ_i‖² and the per-row ball-center norms by difference. The sphere
+//    (located via the sketch's RowBuckets hook) and maintains ‖δ_i‖² and
+//    the per-row ball-center norms by difference. The sphere
 //    test is then O(d) per check instead of the O(w·d) full rebuild.
 //    Window expiry is handled exactly by a per-counter expiry-event heap:
 //    every tracked counter reports the next clock value at which its
@@ -61,7 +66,6 @@
 #include <concepts>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -125,19 +129,17 @@ concept HasNextEstimateChange =
       { c.NextEstimateChangeAt(now, range) } -> std::same_as<Timestamp>;
     };
 
-/// Per-site state every monitor keeps; f-specific monitors may extend it
-/// with extra ball bookkeeping (the self-join monitor's per-row norms).
-template <SlidingWindowCounter Counter>
-struct SiteStateBase {
+/// Per-site drift state every monitor keeps (the site itself lives in the
+/// monitor's Coordinator); f-specific monitors may extend it with extra
+/// ball bookkeeping (the self-join monitor's per-row norms).
+struct DriftState {
   using ExpiryEvent = std::pair<Timestamp, uint32_t>;  // (when, cell)
 
-  SiteStateBase(NodeId id, const EcmConfig& cfg, size_t dim)
-      : node(id, cfg), v_sync(dim, 0.0), v_cur(dim, 0.0), scheduled(dim, 0) {}
-  Site<Counter> node;
+  explicit DriftState(size_t dim)
+      : v_sync(dim, 0.0), v_cur(dim, 0.0), scheduled(dim, 0) {}
   std::vector<double> v_sync;  ///< statistics vector at the last sync
   std::vector<double> v_cur;   ///< tracked current statistics vector
   double radius_sq = 0.0;      ///< ‖δ‖²
-  uint64_t updates = 0;        ///< arrivals (stats)
   uint64_t cadence_ticks = 0;  ///< arrivals since the initial sync
   uint64_t checks = 0;
   uint64_t violations = 0;
@@ -151,18 +153,17 @@ struct SiteStateBase {
   std::vector<Timestamp> scheduled;
 };
 
-template <SlidingWindowCounter Counter>
-struct SelfJoinSiteState : SiteStateBase<Counter> {
-  SelfJoinSiteState(NodeId id, const EcmConfig& cfg, size_t dim, int depth)
-      : SiteStateBase<Counter>(id, cfg, dim),
-        row_sq(static_cast<size_t>(depth), 0.0) {}
+struct SelfJoinDriftState : DriftState {
+  SelfJoinDriftState(size_t dim, int depth)
+      : DriftState(dim), row_sq(static_cast<size_t>(depth), 0.0) {}
   std::vector<double> row_sq;  ///< per-row ‖e + δ/2‖² (ball-center norms)
 };
 
 }  // namespace geom_internal
 
-/// CRTP base: the f-independent sync/cadence scaffolding (see the file
-/// comment for the four hooks a derived monitor implements).
+/// CRTP base: the f-independent sync/cadence scaffolding and the per-cell
+/// drift update (see the file comment for the hooks a derived monitor
+/// implements).
 template <typename Derived, SlidingWindowCounter Counter, typename SiteState>
 class GeometricMonitorBase {
  public:
@@ -179,20 +180,21 @@ class GeometricMonitorBase {
   /// owns `site`): ingest, drift maintenance, sphere test. Returns true
   /// iff a global sync is required.
   bool LocalProcess(int site, uint64_t key, Timestamp ts, uint64_t count = 1) {
-    SiteState& st = sites_[static_cast<size_t>(site)];
-    st.node.Ingest(key, ts, count);
-    ++st.updates;
+    Site<Counter>& node = coord_.site(site);
+    node.Ingest(key, ts, count);
     if (!synced_once_) return true;  // initial sync still outstanding
+    SiteState& st = states_[static_cast<size_t>(site)];
+    const EcmSketch<Counter>& sk = node.sketch();
     if (config_.drift == DriftTracking::kIncremental) {
       // Replay every estimate-change event the clock has passed before
       // folding in this arrival, so untouched entries are exact too.
-      DrainExpiryEvents(&st);
-      derived().UpdateDrift(&st, key);
+      DrainExpiryEvents(sk, &st);
+      derived().UpdateDrift(sk, &st, key);
     }
     const uint64_t cadence = std::max<uint64_t>(config_.check_every, 1);
     if (++st.cadence_ticks % cadence != 0) return false;
     ++st.checks;
-    if (config_.drift == DriftTracking::kRebuild) derived().RefreshVector(&st);
+    if (config_.drift == DriftTracking::kRebuild) RefreshVector(sk, &st);
     if (!derived().SphereViolation(st)) return false;
     ++st.violations;
     return true;
@@ -202,10 +204,11 @@ class GeometricMonitorBase {
   /// the new global average and re-arms all drift state. Requires every
   /// worker quiescent (ParallelIngest's barrier, or the sequential path).
   void GlobalSync() {
-    const size_t n = sites_.size();
+    const size_t n = states_.size();
     std::fill(e_avg_.begin(), e_avg_.end(), 0.0);
-    for (SiteState& st : sites_) {
-      derived().RefreshVector(&st);
+    for (size_t i = 0; i < n; ++i) {
+      SiteState& st = states_[i];
+      RefreshVector(site_sketch(static_cast<int>(i)), &st);
       st.v_sync = st.v_cur;
       for (size_t k = 0; k < dim_; ++k) e_avg_[k] += st.v_sync[k];
     }
@@ -219,17 +222,22 @@ class GeometricMonitorBase {
     if (!was_above && above_) ++stats_.crossings_signaled;
     ++stats_.syncs;
     synced_once_ = true;
-    for (SiteState& st : sites_) st.radius_sq = 0.0;
+    for (SiteState& st : states_) st.radius_sq = 0.0;
     if (config_.drift == DriftTracking::kIncremental) {
-      for (SiteState& st : sites_) RebuildExpirySchedule(&st);
+      for (size_t i = 0; i < n; ++i) {
+        RebuildExpirySchedule(site_sketch(static_cast<int>(i)), &states_[i]);
+      }
     }
 
     // Vectors up, the average back down — the sync's wire cost.
-    for (const SiteState& st : sites_) {
-      transport_->Send(st.node.id(), kCoordinatorNode, VectorWireSize(dim_));
+    Transport& transport = coord_.transport();
+    for (int i = 0; i < coord_.num_sites(); ++i) {
+      transport.Send(coord_.site(i).id(), kCoordinatorNode,
+                     VectorWireSize(dim_));
     }
-    for (const SiteState& st : sites_) {
-      transport_->Send(kCoordinatorNode, st.node.id(), VectorWireSize(dim_));
+    for (int i = 0; i < coord_.num_sites(); ++i) {
+      transport.Send(kCoordinatorNode, coord_.site(i).id(),
+                     VectorWireSize(dim_));
     }
     stats_.network.messages += 2 * n;
     stats_.network.bytes += 2ull * n * VectorWireSize(dim_);
@@ -245,8 +253,10 @@ class GeometricMonitorBase {
   /// parallel workers never contend on shared counters).
   MonitorStats stats() const {
     MonitorStats s = stats_;
-    for (const SiteState& st : sites_) {
-      s.updates += st.updates;
+    for (int i = 0; i < coord_.num_sites(); ++i) {
+      s.updates += coord_.site(i).updates();
+    }
+    for (const SiteState& st : states_) {
       s.local_checks += st.checks;
       s.local_violations += st.violations;
     }
@@ -254,31 +264,66 @@ class GeometricMonitorBase {
   }
 
   const EcmSketch<Counter>& site_sketch(int site) const {
-    return sites_[static_cast<size_t>(site)].node.sketch();
+    return coord_.site(site).sketch();
   }
 
-  Transport& transport() { return *transport_; }
+  Transport& transport() { return coord_.transport(); }
 
  protected:
-  GeometricMonitorBase(const EcmConfig& sketch_config,
+  /// `initial` is one site's drift state at rest; its vectors fix the
+  /// statistics-vector dimension.
+  GeometricMonitorBase(int num_sites, const EcmConfig& sketch_config,
                        const GeometricMonitorConfig& config,
-                       Transport* transport, size_t dim)
-      : sketch_config_(sketch_config),
-        config_(config),
-        transport_(transport),
-        dim_(dim),
-        e_avg_(dim, 0.0) {
-    if (!transport_) {
-      owned_transport_ = std::make_unique<LoopbackTransport>();
-      transport_ = owned_transport_.get();
-    }
-  }
+                       Transport* transport, const SiteState& initial)
+      : config_(config),
+        coord_(num_sites, sketch_config, transport),
+        dim_(initial.v_cur.size()),
+        states_(static_cast<size_t>(num_sites), initial),
+        e_avg_(dim_, 0.0) {}
 
   ~GeometricMonitorBase() = default;
 
   Derived& derived() { return static_cast<Derived&>(*this); }
-  const Derived& derived() const {
-    return static_cast<const Derived&>(*this);
+
+  const EcmConfig& sketch_config() const { return coord_.config(); }
+
+  /// Re-evaluates statistics-vector cell `cell` from its counter: moves
+  /// ‖δ‖² by difference, lets the monitor move its own ball state
+  /// (OnCellDrift), and reschedules the cell's next expiry event. The
+  /// reschedule runs even when the value is unchanged: an arrival may have
+  /// changed the counter's content, so its pending event may be stale.
+  void ReevaluateCell(const EcmSketch<Counter>& sk, SiteState* st,
+                      uint32_t cell) {
+    const Counter& c = derived().CellCounter(sk, cell);
+    const Timestamp now = sk.Now();
+    const uint64_t range = sketch_config().window_len;
+    const double new_v = c.Estimate(now, range);
+    const double old_v = st->v_cur[cell];
+    if (new_v != old_v) {
+      const double old_d = old_v - st->v_sync[cell];
+      const double new_d = new_v - st->v_sync[cell];
+      st->radius_sq += new_d * new_d - old_d * old_d;
+      derived().OnCellDrift(st, cell, old_d, new_d);
+      st->v_cur[cell] = new_v;
+    }
+    ScheduleCell(st, cell, c.NextEstimateChangeAt(now, range));
+  }
+
+  /// Ball state beyond ‖δ‖² moved by cell `cell`'s drift going from
+  /// `old_d` to `new_d`. None by default.
+  void OnCellDrift(SiteState*, uint32_t, double, double) {}
+
+  /// Full re-materialization of the site's statistics vector and exact
+  /// recomputation of the ball quantities — the rebuild reference and the
+  /// sync collection path.
+  void RefreshVector(const EcmSketch<Counter>& sk, SiteState* st) {
+    derived().LoadVector(sk, st);
+    double radius_sq = 0.0;
+    for (size_t k = 0; k < dim_; ++k) {
+      const double drift = st->v_cur[k] - st->v_sync[k];
+      radius_sq += drift * drift;
+    }
+    st->radius_sq = radius_sq;
   }
 
   // --- per-counter expiry-event heap (kIncremental) ------------------------
@@ -305,39 +350,37 @@ class GeometricMonitorBase {
 
   /// Replays every scheduled estimate-change event at or before the
   /// site's clock; each live event re-evaluates its cell and reschedules.
-  void DrainExpiryEvents(SiteState* st) {
-    const Timestamp now = st->node.sketch().Now();
+  void DrainExpiryEvents(const EcmSketch<Counter>& sk, SiteState* st) {
+    const Timestamp now = sk.Now();
     auto& heap = st->expiry_heap;
     while (!heap.empty() && heap.top().first <= now) {
       const auto [when, cell] = heap.top();
       heap.pop();
       if (st->scheduled[cell] != when) continue;  // superseded entry
       st->scheduled[cell] = 0;
-      derived().ReevaluateCell(st, cell);
+      ReevaluateCell(sk, st, cell);
     }
   }
 
   /// Re-seeds the full schedule from scratch (after a sync refresh, when
   /// every cell was just re-evaluated exactly).
-  void RebuildExpirySchedule(SiteState* st) {
+  void RebuildExpirySchedule(const EcmSketch<Counter>& sk, SiteState* st) {
     st->expiry_heap = {};
     std::fill(st->scheduled.begin(), st->scheduled.end(), 0);
-    const Timestamp now = st->node.sketch().Now();
+    const Timestamp now = sk.Now();
     for (size_t k = 0; k < dim_; ++k) {
-      ScheduleCell(st, static_cast<uint32_t>(k),
-                   derived()
-                       .CellCounter(*st, static_cast<uint32_t>(k))
-                       .NextEstimateChangeAt(now, sketch_config_.window_len));
+      const auto cell = static_cast<uint32_t>(k);
+      ScheduleCell(st, cell,
+                   derived().CellCounter(sk, cell).NextEstimateChangeAt(
+                       now, sketch_config().window_len));
     }
   }
 
-  EcmConfig sketch_config_;
   GeometricMonitorConfig config_;
-  Transport* transport_;
-  std::unique_ptr<Transport> owned_transport_;
+  Coordinator<Counter> coord_;
   size_t dim_;
-  std::vector<SiteState> sites_;
-  std::vector<double> e_avg_;  ///< global average at last sync
+  std::vector<SiteState> states_;  ///< per-site drift state
+  std::vector<double> e_avg_;      ///< global average at last sync
   double estimate_ = 0.0;
   bool above_ = false;
   bool synced_once_ = false;
@@ -349,8 +392,8 @@ template <SlidingWindowCounter Counter>
   requires geom_internal::HasNextEstimateChange<Counter>
 class GeometricSelfJoinMonitorT
     : public GeometricMonitorBase<GeometricSelfJoinMonitorT<Counter>, Counter,
-                                  geom_internal::SelfJoinSiteState<Counter>> {
-  using SiteState = geom_internal::SelfJoinSiteState<Counter>;
+                                  geom_internal::SelfJoinDriftState> {
+  using SiteState = geom_internal::SelfJoinDriftState;
   using Base = GeometricMonitorBase<GeometricSelfJoinMonitorT, Counter,
                                     SiteState>;
   friend Base;
@@ -361,98 +404,47 @@ class GeometricSelfJoinMonitorT
   GeometricSelfJoinMonitorT(int num_sites, const EcmConfig& sketch_config,
                             const Config& config,
                             Transport* transport = nullptr)
-      : Base(sketch_config, config, transport,
-             static_cast<size_t>(sketch_config.width) *
-                 sketch_config.depth) {
-    this->sites_.reserve(static_cast<size_t>(num_sites));
-    for (int i = 0; i < num_sites; ++i) {
-      this->sites_.emplace_back(i, sketch_config, this->dim_,
-                                sketch_config.depth);
-    }
-  }
+      : Base(num_sites, sketch_config, config, transport,
+             SiteState(static_cast<size_t>(sketch_config.width) *
+                           sketch_config.depth,
+                       sketch_config.depth)) {}
 
  private:
-  /// O(d) incremental maintenance: the arrival of `key` touched exactly
-  /// one counter per row; re-evaluate those d entries and update ‖δ‖²
-  /// and the per-row center norms by difference.
-  void UpdateDrift(SiteState* st, uint64_t key) {
-    const EcmSketch<Counter>& sk = st->node.sketch();
-    const Timestamp now = sk.Now();
-    double ests[kMaxSketchDepth];
+  /// The arrival of `key` touched exactly one counter per row.
+  void UpdateDrift(const EcmSketch<Counter>& sk, SiteState* st,
+                   uint64_t key) {
     uint32_t cols[kMaxSketchDepth];
-    sk.PointQueryRowsAt(key, this->sketch_config_.window_len, now, ests,
-                        cols);
-    const uint32_t width = this->sketch_config_.width;
-    for (int j = 0; j < this->sketch_config_.depth; ++j) {
-      const size_t k = static_cast<size_t>(j) * width + cols[j];
-      // The arrival changed this counter's content, so its pending expiry
-      // event may be stale — reschedule even if the estimate value
-      // happens to be unchanged right now.
-      this->ScheduleCell(st, static_cast<uint32_t>(k),
-                         sk.CounterAt(j, cols[j]).NextEstimateChangeAt(
-                             now, this->sketch_config_.window_len));
-      const double new_v = ests[j];
-      const double old_v = st->v_cur[k];
-      if (new_v == old_v) continue;
-      const double old_d = old_v - st->v_sync[k];
-      const double new_d = new_v - st->v_sync[k];
-      st->radius_sq += new_d * new_d - old_d * old_d;
-      const double old_c = this->e_avg_[k] + 0.5 * old_d;
-      const double new_c = this->e_avg_[k] + 0.5 * new_d;
-      st->row_sq[static_cast<size_t>(j)] += new_c * new_c - old_c * old_c;
-      st->v_cur[k] = new_v;
+    sk.RowBuckets(key, cols);
+    const uint32_t width = this->sketch_config().width;
+    for (int j = 0; j < this->sketch_config().depth; ++j) {
+      this->ReevaluateCell(sk, st, static_cast<uint32_t>(j) * width + cols[j]);
     }
   }
 
   /// The counter backing statistics-vector cell `k` (row-major grid).
-  const Counter& CellCounter(const SiteState& st, uint32_t cell) const {
-    const uint32_t width = this->sketch_config_.width;
-    return st.node.sketch().CounterAt(static_cast<int>(cell / width),
-                                      cell % width);
+  const Counter& CellCounter(const EcmSketch<Counter>& sk,
+                             uint32_t cell) const {
+    const uint32_t width = this->sketch_config().width;
+    return sk.CounterAt(static_cast<int>(cell / width), cell % width);
   }
 
-  /// Expiry-event replay for one cell: window expiry moved (or may have
-  /// moved) the cell's estimate with no arrival touching it. Same
-  /// difference updates as UpdateDrift, then reschedule.
-  void ReevaluateCell(SiteState* st, uint32_t cell) {
-    const EcmSketch<Counter>& sk = st->node.sketch();
-    const Timestamp now = sk.Now();
-    const uint32_t width = this->sketch_config_.width;
-    const int row = static_cast<int>(cell / width);
-    const Counter& c = sk.CounterAt(row, cell % width);
-    const uint64_t range = this->sketch_config_.window_len;
-    const double new_v = c.Estimate(now, range);
-    const double old_v = st->v_cur[cell];
-    if (new_v != old_v) {
-      const double old_d = old_v - st->v_sync[cell];
-      const double new_d = new_v - st->v_sync[cell];
-      st->radius_sq += new_d * new_d - old_d * old_d;
-      const double old_c = this->e_avg_[cell] + 0.5 * old_d;
-      const double new_c = this->e_avg_[cell] + 0.5 * new_d;
-      st->row_sq[static_cast<size_t>(row)] += new_c * new_c - old_c * old_c;
-      st->v_cur[cell] = new_v;
-    }
-    this->ScheduleCell(st, cell, c.NextEstimateChangeAt(now, range));
+  /// The cell's row moves its ball-center norm by difference.
+  void OnCellDrift(SiteState* st, uint32_t cell, double old_d, double new_d) {
+    const double old_c = this->e_avg_[cell] + 0.5 * old_d;
+    const double new_c = this->e_avg_[cell] + 0.5 * new_d;
+    st->row_sq[cell / this->sketch_config().width] +=
+        new_c * new_c - old_c * old_c;
   }
 
-  /// Full O(w·d) re-materialization of the site's statistics vector and
-  /// exact recomputation of the ball quantities — the rebuild reference
-  /// and the sync collection path.
-  void RefreshVector(SiteState* st) const {
-    const EcmSketch<Counter>& sk = st->node.sketch();
+  /// The full w×d estimate grid, and the per-row center norms from it.
+  void LoadVector(const EcmSketch<Counter>& sk, SiteState* st) const {
     const Timestamp now = sk.Now();
-    const uint32_t width = this->sketch_config_.width;
-    for (int row = 0; row < this->sketch_config_.depth; ++row) {
-      sk.EstimateRowAt(row, this->sketch_config_.window_len, now,
+    const uint32_t width = this->sketch_config().width;
+    for (int row = 0; row < this->sketch_config().depth; ++row) {
+      sk.EstimateRowAt(row, this->sketch_config().window_len, now,
                        &st->v_cur[static_cast<size_t>(row) * width]);
     }
-    double radius_sq = 0.0;
-    for (size_t k = 0; k < this->dim_; ++k) {
-      const double drift = st->v_cur[k] - st->v_sync[k];
-      radius_sq += drift * drift;
-    }
-    st->radius_sq = radius_sq;
-    for (int row = 0; row < this->sketch_config_.depth; ++row) {
+    for (int row = 0; row < this->sketch_config().depth; ++row) {
       double norm_sq = 0.0;
       for (uint32_t col = 0; col < width; ++col) {
         const size_t k = static_cast<size_t>(row) * width + col;
@@ -467,11 +459,11 @@ class GeometricSelfJoinMonitorT
   /// O(d) sphere test from the maintained ball quantities: f over the
   /// ball is bounded row by row by (‖c_row‖ ± r)².
   bool SphereViolation(const SiteState& st) const {
-    const double n = static_cast<double>(this->sites_.size());
+    const double n = static_cast<double>(this->states_.size());
     const double threshold_avg = this->config_.threshold / (n * n);
     const double radius = 0.5 * std::sqrt(std::max(st.radius_sq, 0.0));
     double bound = std::numeric_limits<double>::infinity();
-    for (int row = 0; row < this->sketch_config_.depth; ++row) {
+    for (int row = 0; row < this->sketch_config().depth; ++row) {
       const double norm =
           std::sqrt(std::max(st.row_sq[static_cast<size_t>(row)], 0.0));
       const double extreme =
@@ -485,11 +477,11 @@ class GeometricSelfJoinMonitorT
   /// center norms are shared across sites — and f on the average vector
   /// is their row-wise minimum, scaled by n².
   double InstallAverage() {
-    const uint32_t width = this->sketch_config_.width;
+    const uint32_t width = this->sketch_config().width;
     std::vector<double> base_row_sq(
-        static_cast<size_t>(this->sketch_config_.depth));
+        static_cast<size_t>(this->sketch_config().depth));
     double f_avg = std::numeric_limits<double>::infinity();
-    for (int row = 0; row < this->sketch_config_.depth; ++row) {
+    for (int row = 0; row < this->sketch_config().depth; ++row) {
       double norm_sq = 0.0;
       for (uint32_t col = 0; col < width; ++col) {
         const double v = this->e_avg_[static_cast<size_t>(row) * width + col];
@@ -498,8 +490,8 @@ class GeometricSelfJoinMonitorT
       base_row_sq[static_cast<size_t>(row)] = norm_sq;
       f_avg = std::min(f_avg, norm_sq);
     }
-    for (SiteState& st : this->sites_) st.row_sq = base_row_sq;
-    const double n = static_cast<double>(this->sites_.size());
+    for (SiteState& st : this->states_) st.row_sq = base_row_sq;
+    const double n = static_cast<double>(this->states_.size());
     return n * n * f_avg;
   }
 };
@@ -511,8 +503,8 @@ template <SlidingWindowCounter Counter>
   requires geom_internal::HasNextEstimateChange<Counter>
 class GeometricPointMonitorT
     : public GeometricMonitorBase<GeometricPointMonitorT<Counter>, Counter,
-                                  geom_internal::SiteStateBase<Counter>> {
-  using SiteState = geom_internal::SiteStateBase<Counter>;
+                                  geom_internal::DriftState> {
+  using SiteState = geom_internal::DriftState;
   using Base =
       GeometricMonitorBase<GeometricPointMonitorT, Counter, SiteState>;
   friend Base;
@@ -524,89 +516,45 @@ class GeometricPointMonitorT
 
   GeometricPointMonitorT(int num_sites, const EcmConfig& sketch_config,
                          const Config& config, Transport* transport = nullptr)
-      : Base(sketch_config, config, transport,
-             static_cast<size_t>(sketch_config.depth)),
+      : Base(num_sites, sketch_config, config, transport,
+             SiteState(static_cast<size_t>(sketch_config.depth))),
         key_(config.key) {
-    this->sites_.reserve(static_cast<size_t>(num_sites));
-    for (int i = 0; i < num_sites; ++i) {
-      this->sites_.emplace_back(i, sketch_config, this->dim_);
-    }
     // All sites share the hash seed, so the watched key's row buckets are
     // site-independent.
     std::fill(watched_cols_, watched_cols_ + kMaxSketchDepth, 0u);
-    if (!this->sites_.empty()) {
-      this->sites_[0].node.sketch().RowBuckets(key_, watched_cols_);
-    }
+    if (num_sites > 0) this->site_sketch(0).RowBuckets(key_, watched_cols_);
   }
 
  private:
   /// The watched key's row-j entry moves only when an arrival collides
-  /// with it in row j; compare the arrival's buckets against the watched
-  /// buckets and re-evaluate just the collided rows.
-  void UpdateDrift(SiteState* st, uint64_t key) {
-    const EcmSketch<Counter>& sk = st->node.sketch();
+  /// with it in row j.
+  void UpdateDrift(const EcmSketch<Counter>& sk, SiteState* st,
+                   uint64_t key) {
     uint32_t cols[kMaxSketchDepth];
     sk.RowBuckets(key, cols);
-    const Timestamp now = sk.Now();
-    for (int j = 0; j < this->sketch_config_.depth; ++j) {
-      if (cols[j] != watched_cols_[j]) continue;
-      const Counter& c = sk.CounterAt(j, watched_cols_[j]);
-      this->ScheduleCell(
-          st, static_cast<uint32_t>(j),
-          c.NextEstimateChangeAt(now, this->sketch_config_.window_len));
-      const double new_v = c.Estimate(now, this->sketch_config_.window_len);
-      const size_t k = static_cast<size_t>(j);
-      const double old_v = st->v_cur[k];
-      if (new_v == old_v) continue;
-      const double old_d = old_v - st->v_sync[k];
-      const double new_d = new_v - st->v_sync[k];
-      st->radius_sq += new_d * new_d - old_d * old_d;
-      st->v_cur[k] = new_v;
+    for (int j = 0; j < this->sketch_config().depth; ++j) {
+      if (cols[j] == watched_cols_[j]) {
+        this->ReevaluateCell(sk, st, static_cast<uint32_t>(j));
+      }
     }
   }
 
   /// Cell j of the watched key's statistics vector = row j's counter at
   /// the key's bucket.
-  const Counter& CellCounter(const SiteState& st, uint32_t cell) const {
-    return st.node.sketch().CounterAt(static_cast<int>(cell),
-                                      watched_cols_[cell]);
+  const Counter& CellCounter(const EcmSketch<Counter>& sk,
+                             uint32_t cell) const {
+    return sk.CounterAt(static_cast<int>(cell), watched_cols_[cell]);
   }
 
-  /// Expiry-event replay for row `cell` (see the self-join monitor).
-  void ReevaluateCell(SiteState* st, uint32_t cell) {
-    const EcmSketch<Counter>& sk = st->node.sketch();
-    const Timestamp now = sk.Now();
-    const Counter& c =
-        sk.CounterAt(static_cast<int>(cell), watched_cols_[cell]);
-    const uint64_t range = this->sketch_config_.window_len;
-    const double new_v = c.Estimate(now, range);
-    const double old_v = st->v_cur[cell];
-    if (new_v != old_v) {
-      const double old_d = old_v - st->v_sync[cell];
-      const double new_d = new_v - st->v_sync[cell];
-      st->radius_sq += new_d * new_d - old_d * old_d;
-      st->v_cur[cell] = new_v;
-    }
-    this->ScheduleCell(st, cell, c.NextEstimateChangeAt(now, range));
-  }
-
-  void RefreshVector(SiteState* st) const {
-    const EcmSketch<Counter>& sk = st->node.sketch();
-    const Timestamp now = sk.Now();
-    sk.PointQueryRowsAt(key_, this->sketch_config_.window_len, now,
+  void LoadVector(const EcmSketch<Counter>& sk, SiteState* st) const {
+    sk.PointQueryRowsAt(key_, this->sketch_config().window_len, sk.Now(),
                         st->v_cur.data());
-    double radius_sq = 0.0;
-    for (size_t k = 0; k < this->dim_; ++k) {
-      const double drift = st->v_cur[k] - st->v_sync[k];
-      radius_sq += drift * drift;
-    }
-    st->radius_sq = radius_sq;
   }
 
   /// f = min_j is 1-Lipschitz: over the ball it stays within ±r of
   /// min_j c_j, computed fresh from the d tracked entries (O(d)).
   bool SphereViolation(const SiteState& st) const {
-    const double n = static_cast<double>(this->sites_.size());
+    const double n = static_cast<double>(this->states_.size());
     const double threshold_avg = this->config_.threshold / n;
     const double radius = 0.5 * std::sqrt(std::max(st.radius_sq, 0.0));
     double min_center = std::numeric_limits<double>::infinity();
@@ -622,7 +570,7 @@ class GeometricPointMonitorT
   /// f on the average is the minimum per-row estimate, scaled by n; no
   /// extra per-site ball state to re-arm beyond the shared ‖δ‖² reset.
   double InstallAverage() {
-    return static_cast<double>(this->sites_.size()) *
+    return static_cast<double>(this->states_.size()) *
            *std::min_element(this->e_avg_.begin(), this->e_avg_.end());
   }
 

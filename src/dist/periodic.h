@@ -7,14 +7,15 @@
 // by at most one trigger interval (the bandwidth/freshness trade-off the
 // structure exists for).
 //
-// Built on the shared runtime substrate: sites are runtime Sites, every
-// push ships through the site's sender/receiver channel
-// (dist/compress.h) and charges its exact wire size to the Transport,
-// and every per-site tally lives with the site — so ParallelIngest can
-// drive Process() from one worker per site shard with no locking (a push
-// only writes the pushing site's own channel; the merged coordinator
-// view is keyed on the global push count and rebuilt lazily at query
-// time, after ingest quiesces).
+// Built on the shared runtime: a Coordinator holds the sites, the
+// Transport and one sender/receiver channel per site (dist/compress.h).
+// A push is the coordinator's ShipThroughChannel, and the coordinator's
+// snapshot of a site is the sketch its receiver decoded. The aggregator
+// adds only the per-site push schedule, so ParallelIngest can drive
+// Process() from one worker per site shard with no locking (a push only
+// writes the pushing site's own channel; the merged view is keyed on the
+// global push count and rebuilt lazily at query time, after ingest
+// quiesces).
 
 #ifndef ECM_DIST_PERIODIC_H_
 #define ECM_DIST_PERIODIC_H_
@@ -22,7 +23,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -30,7 +30,6 @@
 #include "src/dist/compress.h"
 #include "src/dist/network_stats.h"
 #include "src/dist/runtime.h"
-#include "src/dist/transport.h"
 #include "src/util/result.h"
 #include "src/util/status.h"
 
@@ -63,15 +62,10 @@ class PeriodicAggregatorT {
 
   PeriodicAggregatorT(int num_sites, const EcmConfig& sketch_config,
                       const Config& config, Transport* transport = nullptr)
-      : sketch_config_(sketch_config), config_(config), transport_(transport) {
-    if (!transport_) {
-      owned_transport_ = std::make_unique<LoopbackTransport>();
-      transport_ = owned_transport_.get();
-    }
-    sites_.reserve(static_cast<size_t>(num_sites));
-    for (int i = 0; i < num_sites; ++i) {
-      sites_.emplace_back(i, sketch_config_, config_.compression);
-    }
+      : config_(config),
+        coord_(num_sites, sketch_config, transport),
+        push_(static_cast<size_t>(num_sites)) {
+    coord_.EnableCompression(config_.compression);
   }
 
   /// Routes one arrival to `site`'s local sketch and fires any due push.
@@ -79,24 +73,24 @@ class PeriodicAggregatorT {
   /// `site`-local state (plus the thread-safe Transport), so one
   /// ParallelIngest worker per site shard may call it concurrently.
   bool Process(int site_idx, uint64_t key, Timestamp ts, uint64_t count = 1) {
-    SiteState& site = sites_[static_cast<size_t>(site_idx)];
-    site.node.Ingest(key, ts, count);
-    ++site.updates;
+    Site<Counter>& site = coord_.site(site_idx);
+    site.Ingest(key, ts, count);
+    const PushState& p = push_[static_cast<size_t>(site_idx)];
 
-    if (site.pushes == 0) {
-      Push(&site, PushKind::kInitial);
+    if (p.pushes == 0) {
+      Push(site_idx, PushKind::kInitial);
       return true;
     }
-    const Timestamp now = site.node.sketch().Now();
-    if (config_.period > 0 && now - site.last_push_ts >= config_.period) {
-      Push(&site, PushKind::kPeriodic);
+    const Timestamp now = site.sketch().Now();
+    if (config_.period > 0 && now - p.last_push_ts >= config_.period) {
+      Push(site_idx, PushKind::kPeriodic);
       return true;
     }
     if (config_.drift_fraction > 0.0) {
-      double l1 = site.node.sketch().EstimateL1(sketch_config_.window_len);
-      if (std::abs(l1 - site.pushed_l1) >=
-          config_.drift_fraction * std::max(site.pushed_l1, 1.0)) {
-        Push(&site, PushKind::kDrift);
+      double l1 = site.sketch().EstimateL1(coord_.config().window_len);
+      if (std::abs(l1 - p.pushed_l1) >=
+          config_.drift_fraction * std::max(p.pushed_l1, 1.0)) {
+        Push(site_idx, PushKind::kDrift);
         return true;
       }
     }
@@ -106,7 +100,7 @@ class PeriodicAggregatorT {
   /// Forces every site to push its current sketch (e.g. before a query
   /// barrier).
   Status SyncAll() {
-    for (SiteState& site : sites_) Push(&site, PushKind::kForced);
+    for (int i = 0; i < coord_.num_sites(); ++i) Push(i, PushKind::kForced);
     return Status::OK();
   }
 
@@ -125,38 +119,35 @@ class PeriodicAggregatorT {
     return (*view)->PointQuery(key, range);
   }
 
-  /// Aggregated counters (per-site tallies summed on demand).
+  /// Aggregated counters (per-site tallies summed on demand). The network
+  /// share is every image the channels shipped: one per push, plus one
+  /// per stale-base resync.
   Stats stats() const {
     Stats s;
-    for (const SiteState& site : sites_) {
-      s.updates += site.updates;
-      s.pushes += site.pushes;
-      s.periodic_pushes += site.periodic_pushes;
-      s.drift_pushes += site.drift_pushes;
-      s.network.messages += site.net.messages;
-      s.network.bytes += site.net.bytes;
+    for (int i = 0; i < coord_.num_sites(); ++i) {
+      s.updates += coord_.site(i).updates();
     }
+    for (const PushState& p : push_) {
+      s.pushes += p.pushes;
+      s.periodic_pushes += p.periodic_pushes;
+      s.drift_pushes += p.drift_pushes;
+    }
+    const CompressionStats cs = coord_.compression_stats();
+    s.network.messages = cs.full_images + cs.rlz_images;
+    s.network.bytes = cs.wire_bytes;
     return s;
   }
 
   /// Aggregated sender-side accounting of the sites' channels.
   CompressionStats compression_stats() const {
-    CompressionStats total;
-    for (const SiteState& site : sites_) {
-      const CompressionStats& s = site.sender.stats();
-      total.full_images += s.full_images;
-      total.rlz_images += s.rlz_images;
-      total.wire_bytes += s.wire_bytes;
-      total.raw_bytes += s.raw_bytes;
-    }
-    return total;
+    return coord_.compression_stats();
   }
 
   /// Largest timestamp processed so far.
   Timestamp clock() const {
     Timestamp t = 0;
-    for (const SiteState& site : sites_) {
-      t = std::max(t, site.node.sketch().Now());
+    for (int i = 0; i < coord_.num_sites(); ++i) {
+      t = std::max(t, coord_.site(i).sketch().Now());
     }
     return t;
   }
@@ -164,86 +155,56 @@ class PeriodicAggregatorT {
   /// The live local sketch of one site (always fresh, unlike the
   /// coordinator's snapshot of it).
   const EcmSketch<Counter>& site_sketch(int site) const {
-    return sites_[static_cast<size_t>(site)].node.sketch();
+    return coord_.site(site).sketch();
   }
 
-  Transport& transport() { return *transport_; }
+  Transport& transport() { return coord_.transport(); }
 
  private:
   enum class PushKind { kInitial, kPeriodic, kDrift, kForced };
 
-  struct SiteState {
-    SiteState(NodeId id, const EcmConfig& cfg, const CompressionOptions& copts)
-        : node(id, cfg), sender(copts), receiver(copts) {}
-    Site<Counter> node;
-    // The push channel; receiver.sketch() is the coordinator's snapshot.
-    SketchSender<Counter> sender;
-    SketchReceiver<Counter> receiver;
-    Status push_status;  ///< failure of the last push, if it had one
+  /// One site's push schedule.
+  struct PushState {
+    Status status;  ///< failure of the last push, if it had one
     Timestamp last_push_ts = 0;
     double pushed_l1 = 0.0;  ///< windowed L1 estimate at the last push
-    uint64_t updates = 0;
     uint64_t pushes = 0;
     uint64_t periodic_pushes = 0;
     uint64_t drift_pushes = 0;
-    NetworkStats net;  ///< this site's share of the transport traffic
   };
 
-  void Push(SiteState* site, PushKind kind) {
-    const EcmSketch<Counter>& local = site->node.sketch();
-    SketchWireImage img = site->sender.Ship(local);
-    auto decoded =
-        site->receiver.Receive(img.kind, img.bytes.data(), img.bytes.size());
-    if (!decoded.ok()) {
-      // In-process the channel cannot desync; resync defensively with a
-      // full snapshot so propagation never wedges.
-      site->sender.Reset();
-      img = site->sender.Ship(local);
-      decoded =
-          site->receiver.Receive(img.kind, img.bytes.data(), img.bytes.size());
-    }
-    site->push_status = decoded.ok() ? Status::OK() : decoded.status();
-    const size_t wire = img.bytes.size();
-    transport_->Send(site->node.id(), kCoordinatorNode, wire);
-    site->last_push_ts = local.Now();
-    site->pushed_l1 = local.EstimateL1(sketch_config_.window_len);
-    ++site->pushes;
-    if (kind == PushKind::kPeriodic) ++site->periodic_pushes;
-    if (kind == PushKind::kDrift) ++site->drift_pushes;
-    ++site->net.messages;
-    site->net.bytes += wire;
+  void Push(int site_idx, PushKind kind) {
+    PushState& p = push_[static_cast<size_t>(site_idx)];
+    auto decoded = coord_.ShipThroughChannel(site_idx);
+    p.status = decoded.ok() ? Status::OK() : decoded.status();
+    const EcmSketch<Counter>& local = coord_.site(site_idx).sketch();
+    p.last_push_ts = local.Now();
+    p.pushed_l1 = local.EstimateL1(coord_.config().window_len);
+    ++p.pushes;
+    if (kind == PushKind::kPeriodic) ++p.periodic_pushes;
+    if (kind == PushKind::kDrift) ++p.drift_pushes;
   }
 
   Result<const EcmSketch<Counter>*> MergedView() const {
     uint64_t total_pushes = 0;
-    for (const SiteState& site : sites_) total_pushes += site.pushes;
+    for (const PushState& p : push_) {
+      if (!p.status.ok()) return p.status;
+      total_pushes += p.pushes;
+    }
     if (merged_cache_.has_value() && merged_cache_pushes_ == total_pushes) {
       return &*merged_cache_;
     }
-    std::vector<const EcmSketch<Counter>*> snapshots;
-    snapshots.reserve(sites_.size());
-    for (const SiteState& site : sites_) {
-      if (!site.push_status.ok()) return site.push_status;
-      if (site.receiver.sketch() == nullptr) {
-        return Status::InvalidArgument(
-            "PeriodicAggregator: some site has never pushed; call SyncAll() "
-            "or wait for its first arrival");
-      }
-      snapshots.push_back(site.receiver.sketch());
-    }
-    auto merged = EcmSketch<Counter>::Merge(
-        snapshots, sketch_config_.epsilon_sw, sketch_config_.seed);
+    auto merged = coord_.MergeReceived(coord_.config().epsilon_sw,
+                                       coord_.config().seed);
     if (!merged.ok()) return merged.status();
     merged_cache_ = std::move(*merged);
     merged_cache_pushes_ = total_pushes;
     return &*merged_cache_;
   }
 
-  EcmConfig sketch_config_;
   Config config_;
-  Transport* transport_;
-  std::unique_ptr<Transport> owned_transport_;
-  std::vector<SiteState> sites_;
+  Coordinator<Counter> coord_;
+  std::vector<PushState> push_;
   // Merged snapshot cache, keyed on the global push count (stale after
   // any push; rebuilt lazily at query time, outside the ingest path).
   mutable std::optional<EcmSketch<Counter>> merged_cache_;

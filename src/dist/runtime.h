@@ -1,24 +1,26 @@
 // The shared distributed runtime (§5–§6): one Site/Coordinator/Transport
-// substrate under every distributed structure in the repo, instead of the
-// three private site/coordinator plumbings the aggregation tree, the
-// scheduled propagator and the geometric monitors used to carry.
+// substrate under every distributed structure in the repo. Flat collection,
+// tree aggregation, the scheduled propagator (dist/periodic.h) and the
+// geometric monitors (dist/geometric.h) all keep their sites, transport and
+// propagation channels in one Coordinator.
 //
 //  * Site<Counter>      — one observation point (dist/site.h): a
 //    counter-generic EcmSketch plus an optional dyadic stack, with
 //    per-arrival and batched ingest. Exactly one ParallelIngest worker
 //    ever touches a site, so sites need no locks.
-//  * Coordinator<Counter> — owns the sites and the global views: flat
-//    collect-and-merge (§5.3), which merges the images its per-site
-//    receivers decoded, and balanced-tree aggregation (§5.1), both
-//    shipping through the Transport.
+//  * Coordinator<Counter> — owns the sites, the Transport and one
+//    sender/receiver channel per site. Flat views (§5.3) ship each
+//    site's sketch through its channel (ShipThroughChannel) and merge
+//    the images the receivers decoded (MergeReceived); tree aggregation
+//    (§5.1) charges every merge transfer through the Transport.
 //  * ParallelIngest     — the sharded multi-threaded ingest driver: one
 //    worker per site shard (site s belongs to shard s mod workers),
 //    per-shard event batches, and a sync barrier on which all workers
 //    quiesce whenever any site demands a global synchronization (the
 //    geometric monitors' local-violation path). Between barriers workers
-//    only touch their own sites, so the whole drive is data-race-free by
-//    construction; the barrier's mutex provides the happens-before edges
-//    for the coordinator's cross-site reads.
+//    only touch their own sites and channels, so the whole drive is
+//    data-race-free by construction; the barrier's mutex provides the
+//    happens-before edges for the coordinator's cross-site reads.
 
 #ifndef ECM_DIST_RUNTIME_H_
 #define ECM_DIST_RUNTIME_H_
@@ -99,19 +101,58 @@ class Coordinator {
   /// Flat §5.3 aggregation: every site ships its sketch through its
   /// channel to the coordinator (n messages at exact wire size;
   /// payload-carrying transports deliver the bytes verbatim), which
-  /// merges the receiver-decoded sketches order-preservingly with window
-  /// error parameter `eps_prime_sw` (defaults to the sites' own ε_sw).
+  /// merges the receiver-decoded sketches (MergeReceived).
   Result<EcmSketch<Counter>> CollectAndMerge(double eps_prime_sw = -1.0,
                                              uint64_t seed = 0) const {
-    const double eps = eps_prime_sw > 0.0 ? eps_prime_sw : config_.epsilon_sw;
-    std::vector<const EcmSketch<Counter>*> ptrs;
-    ptrs.reserve(sites_.size());
-    for (size_t i = 0; i < sites_.size(); ++i) {
+    for (int i = 0; i < num_sites(); ++i) {
       auto decoded = ShipThroughChannel(i);
       if (!decoded.ok()) return decoded.status();
-      ptrs.push_back(*decoded);
+    }
+    return MergeReceived(eps_prime_sw, seed);
+  }
+
+  /// Order-preserving merge of the sketch every receiver decoded last,
+  /// with window error parameter `eps_prime_sw` (<= 0: the sites' own
+  /// ε_sw). RW merges draw coins, so each caller passes its own `seed`.
+  /// Fails while some site has never shipped.
+  Result<EcmSketch<Counter>> MergeReceived(double eps_prime_sw,
+                                           uint64_t seed) const {
+    const double eps = eps_prime_sw > 0.0 ? eps_prime_sw : config_.epsilon_sw;
+    std::vector<const EcmSketch<Counter>*> ptrs;
+    ptrs.reserve(channels_.size());
+    for (const Channel& ch : channels_) {
+      if (ch.receiver.sketch() == nullptr) {
+        return Status::InvalidArgument(
+            "Coordinator: some site has never shipped its sketch");
+      }
+      ptrs.push_back(ch.receiver.sketch());
     }
     return EcmSketch<Counter>::Merge(ptrs, eps, seed);
+  }
+
+  /// Ships site `i`'s sketch through its channel, charging the Transport,
+  /// and returns the decoded (receiver-side) sketch. A stale-base
+  /// rejection — e.g. the first image after a channel reset — resyncs
+  /// once with a full snapshot. Touches only site `i`'s channel, so one
+  /// ParallelIngest worker per site shard may call it concurrently.
+  Result<const EcmSketch<Counter>*> ShipThroughChannel(int i) const {
+    Channel& ch = channels_[static_cast<size_t>(i)];
+    const Site<Counter>& s = site(i);
+    SketchWireImage img = ch.sender.Ship(s.sketch());
+    transport_->Send(s.id(), kCoordinatorNode, img.bytes.data(),
+                     img.bytes.size());
+    auto decoded =
+        ch.receiver.Receive(img.kind, img.bytes.data(), img.bytes.size());
+    if (!decoded.ok() && decoded.status().code() == StatusCode::kStaleBase) {
+      ch.sender.Reset();
+      img = ch.sender.Ship(s.sketch());
+      transport_->Send(s.id(), kCoordinatorNode, img.bytes.data(),
+                       img.bytes.size());
+      decoded =
+          ch.receiver.Receive(img.kind, img.bytes.data(), img.bytes.size());
+    }
+    if (!decoded.ok()) return decoded.status();
+    return *decoded;
   }
 
   /// Balanced-binary-tree aggregation (§5.1) over the sites' sketches,
@@ -132,35 +173,12 @@ class Coordinator {
     SketchReceiver<Counter> receiver;
   };
 
-  /// Ships site `i`'s sketch through its channel and returns the decoded
-  /// (receiver-side) sketch. A stale-base rejection — e.g. the first
-  /// image after a channel reset — resyncs once with a full snapshot.
-  Result<const EcmSketch<Counter>*> ShipThroughChannel(size_t i) const {
-    Channel& ch = channels_[i];
-    const Site<Counter>& s = sites_[i];
-    SketchWireImage img = ch.sender.Ship(s.sketch());
-    transport_->Send(s.id(), kCoordinatorNode, img.bytes.data(),
-                     img.bytes.size());
-    auto decoded =
-        ch.receiver.Receive(img.kind, img.bytes.data(), img.bytes.size());
-    if (!decoded.ok() && decoded.status().code() == StatusCode::kStaleBase) {
-      ch.sender.Reset();
-      img = ch.sender.Ship(s.sketch());
-      transport_->Send(s.id(), kCoordinatorNode, img.bytes.data(),
-                       img.bytes.size());
-      decoded =
-          ch.receiver.Receive(img.kind, img.bytes.data(), img.bytes.size());
-    }
-    if (!decoded.ok()) return decoded.status();
-    return *decoded;
-  }
-
   EcmConfig config_;
   Transport* transport_;
   std::unique_ptr<Transport> owned_transport_;
   std::vector<Site<Counter>> sites_;
-  // One propagation channel per site. `mutable` because CollectAndMerge
-  // is logically const on the sites but advances the channels' reference
+  // One propagation channel per site. `mutable` because shipping is
+  // logically const on the sites but advances the channels' reference
   // chain.
   mutable std::vector<Channel> channels_;
 };

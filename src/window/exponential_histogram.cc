@@ -364,6 +364,9 @@ Result<ExponentialHistogram> ExponentialHistogram::Deserialize(
   eh.lifetime_ = *lifetime;
   auto last_ts = r->GetVarint();
   if (!last_ts.ok()) return last_ts.status();
+  if (*last_ts < eh.expired_end_) {
+    return Status::Corruption("exponential histogram expired past its clock");
+  }
   eh.last_ts_ = *last_ts;
 
   auto num_levels = r->GetVarint();
@@ -375,7 +378,15 @@ Result<ExponentialHistogram> ExponentialHistogram::Deserialize(
   // (each costs at least one payload byte), so a hostile tiny-epsilon
   // header cannot request a large allocation up front; the per-level
   // count bound below rejects over-capacity levels.
+  //
+  // Bucket ends must be non-decreasing oldest-first and lie in
+  // [expired_end, last_ts]. Levels arrive newest first and ascend inside,
+  // so each end must lie in [lo, ceiling]: lo is the level's previous end
+  // (expired_end for its first), ceiling the oldest end of the nearest
+  // newer non-empty level (last_ts for level 0). One unsigned compare
+  // tests both sides and also catches a delta that wraps the sum.
   if (*num_levels > 0) eh.EnsureLevel(*num_levels - 1);
+  Timestamp ceiling = eh.last_ts_;
   for (size_t i = 0; i < *num_levels; ++i) {
     auto count = r->GetVarint();
     if (!count.ok()) return count.status();
@@ -383,14 +394,20 @@ Result<ExponentialHistogram> ExponentialHistogram::Deserialize(
       return Status::Corruption("exponential histogram level over capacity");
     }
     Timestamp prev = 0;
+    Timestamp lo = eh.expired_end_;
     for (uint64_t j = 0; j < *count; ++j) {
       auto delta = r->GetVarint();
       if (!delta.ok()) return delta.status();
       prev += *delta;
+      if (prev - lo > ceiling - lo) {
+        return Status::Corruption("exponential histogram bucket out of order");
+      }
+      lo = prev;
       eh.PushBack(i, Bucket{prev});
       ++eh.num_buckets_;
       eh.total_ += 1ULL << i;
     }
+    if (*count > 0) ceiling = eh.At(i, 0).end;
   }
   return eh;
 }

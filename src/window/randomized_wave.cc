@@ -160,10 +160,11 @@ double RandomizedWave::EstimateSubWave(int idx, Timestamp now,
 
 double RandomizedWave::Estimate(Timestamp now, uint64_t range) const {
   assert(now >= last_ts_);
-  std::vector<double> ests;
-  ests.reserve(subwaves_.size());
+  // Per-thread scratch: every point query and sweep cell lands here.
+  static thread_local std::vector<double> ests;
+  ests.resize(subwaves_.size());
   for (int i = 0; i < num_subwaves(); ++i) {
-    ests.push_back(EstimateSubWave(i, now, range));
+    ests[static_cast<size_t>(i)] = EstimateSubWave(i, now, range);
   }
   auto mid = ests.begin() + ests.size() / 2;
   std::nth_element(ests.begin(), mid, ests.end());

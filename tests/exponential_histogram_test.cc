@@ -9,7 +9,9 @@
 #include <cmath>
 #include <vector>
 
+#include "src/util/bytes.h"
 #include "src/util/random.h"
+#include "src/util/status.h"
 
 namespace ecm {
 namespace {
@@ -184,6 +186,55 @@ TEST(ExponentialHistogramTest, DeserializeRejectsTruncation) {
   auto bytes = w.bytes();
   ByteReader r(bytes.data(), bytes.size() / 2);
   EXPECT_FALSE(ExponentialHistogram::Deserialize(&r).ok());
+}
+
+// A hand-built EH image: header fields, then the levels newest first, each
+// its bucket ends as ascending varint deltas (SerializeTo's layout).
+std::vector<uint8_t> EhImage(Timestamp expired_end, Timestamp last_ts,
+                             const std::vector<std::vector<Timestamp>>& levels) {
+  ByteWriter w;
+  w.PutFixed<uint8_t>(0xE1);
+  w.PutDouble(0.1);
+  w.PutVarint(1000);  // window
+  w.PutVarint(expired_end);
+  w.PutVarint(8);  // lifetime
+  w.PutVarint(last_ts);
+  w.PutVarint(levels.size());
+  for (const auto& ends : levels) {
+    w.PutVarint(ends.size());
+    Timestamp prev = 0;
+    for (Timestamp end : ends) {
+      w.PutVarint(end - prev);  // a descending end wraps the delta
+      prev = end;
+    }
+  }
+  return w.bytes();
+}
+
+StatusCode DecodeEhImage(const std::vector<uint8_t>& image) {
+  ByteReader r(image.data(), image.size());
+  auto eh = ExponentialHistogram::Deserialize(&r);
+  return eh.ok() ? StatusCode::kOk : eh.status().code();
+}
+
+TEST(ExponentialHistogramTest, DeserializeChecksBucketLayout) {
+  // Well formed: level 1 (older) ends at 10, 20; level 0 at 20, 30.
+  EXPECT_EQ(DecodeEhImage(EhImage(5, 30, {{20, 30}, {10, 20}})),
+            StatusCode::kOk);
+  // An older (level-1) bucket ends after the oldest level-0 bucket.
+  EXPECT_EQ(DecodeEhImage(EhImage(5, 30, {{20, 30}, {10, 25}})),
+            StatusCode::kCorruption);
+  // Ends descend within a level (the delta wraps the running sum).
+  EXPECT_EQ(DecodeEhImage(EhImage(5, 30, {{20, 15}, {10, 12}})),
+            StatusCode::kCorruption);
+  // A bucket ends after last_ts.
+  EXPECT_EQ(DecodeEhImage(EhImage(5, 30, {{20, 31}, {10, 20}})),
+            StatusCode::kCorruption);
+  // A bucket ends before expired_end.
+  EXPECT_EQ(DecodeEhImage(EhImage(15, 30, {{20, 30}, {10, 20}})),
+            StatusCode::kCorruption);
+  // Expiry ran past the clock.
+  EXPECT_EQ(DecodeEhImage(EhImage(31, 30, {})), StatusCode::kCorruption);
 }
 
 // ---------------------------------------------------------------------------
