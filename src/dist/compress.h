@@ -149,7 +149,8 @@ class SketchSender {
         img.bytes = std::move(rlz);
       }
     }
-    reference_ = full;
+    // A kFull channel never encodes against the reference: keep no copy.
+    if (opts_.mode == CompressionMode::kRlz) reference_ = full;
     has_base_ = true;
     if (img.kind == SketchWireKind::kFull) {
       img.bytes = std::move(full);
@@ -214,7 +215,11 @@ class SketchReceiver {
         auto sketch = DeserializeSketch<Counter>(data, size);
         if (!sketch.ok()) return sketch.status();
         base_.emplace(std::move(*sketch));
-        reference_.assign(data, data + size);
+        // Only an RLZ channel decodes against it; on a kFull channel the
+        // reference stays empty, so a stray RLZ image rejects as stale.
+        if (opts_.mode == CompressionMode::kRlz) {
+          reference_.assign(data, data + size);
+        }
         NoteApplied(kind, data, size);
         return &*base_;
       }

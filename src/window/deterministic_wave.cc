@@ -249,12 +249,24 @@ Result<DeterministicWave> DeterministicWave::Deserialize(ByteReader* r) {
   if (!last_ts.ok()) return last_ts.status();
   dw.last_ts_ = *last_ts;
 
+  // Every recorded point, anchors included, must have rank <= lifetime
+  // and ts <= last_ts, and timestamps must not fall as ranks rise across
+  // the levels: Buckets() turns the points into an oldest-first log that
+  // the §5.1 merge replays as one sorted run. Each entry's deltas are
+  // checked against the remaining headroom (one unsigned compare each,
+  // which also catches a wrapping sum); the cross-level order once all
+  // points are in.
+  std::vector<Entry> points;
   for (size_t j = 0; j < *num_levels; ++j) {
     auto anchor_rank = r->GetVarint();
     if (!anchor_rank.ok()) return anchor_rank.status();
     auto anchor_ts = r->GetVarint();
     if (!anchor_ts.ok()) return anchor_ts.status();
+    if (*anchor_rank > dw.lifetime_ || *anchor_ts > dw.last_ts_) {
+      return Status::Corruption("deterministic-wave anchor out of range");
+    }
     dw.anchors_[j] = Entry{*anchor_rank, *anchor_ts};
+    points.push_back(dw.anchors_[j]);
     auto count = r->GetVarint();
     if (!count.ok()) return count.status();
     uint64_t prev_rank = 0;
@@ -264,9 +276,22 @@ Result<DeterministicWave> DeterministicWave::Deserialize(ByteReader* r) {
       if (!drank.ok()) return drank.status();
       auto dts = r->GetVarint();
       if (!dts.ok()) return dts.status();
+      if (*drank > dw.lifetime_ - prev_rank || *dts > dw.last_ts_ - prev_ts) {
+        return Status::Corruption("deterministic-wave entry out of range");
+      }
       prev_rank += *drank;
       prev_ts += *dts;
       dw.levels_[j].push_back(Entry{prev_rank, prev_ts});
+      points.push_back(dw.levels_[j].back());
+    }
+  }
+  std::sort(points.begin(), points.end(), [](const Entry& a, const Entry& b) {
+    return a.rank != b.rank ? a.rank < b.rank : a.ts < b.ts;
+  });
+  for (size_t i = 1; i < points.size(); ++i) {
+    if (points[i].ts < points[i - 1].ts) {
+      return Status::Corruption(
+          "deterministic-wave timestamps fall as ranks rise");
     }
   }
   return dw;

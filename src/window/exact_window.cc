@@ -88,6 +88,11 @@ Result<ExactWindow> ExactWindow::Deserialize(ByteReader* r) {
     if (!delta.ok()) return delta.status();
     auto n = r->GetVarint();
     if (!n.ok()) return n.status();
+    // Runs ascend and end by last_ts (one compare, which also catches a
+    // wrapping delta): the §5.1 merge replays them as one sorted run.
+    if (*delta > ew.last_ts_ - prev) {
+      return Status::Corruption("exact-window run out of order");
+    }
     prev += *delta;
     ew.runs_.push_back(Run{prev, *n});
   }

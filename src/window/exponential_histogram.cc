@@ -42,6 +42,39 @@ void ExponentialHistogram::Grow(size_t level) {
   level_head_[level] = 0;
 }
 
+void ExponentialHistogram::AppendBuckets(size_t level, const Timestamp* ends,
+                                         size_t n, Timestamp ts,
+                                         uint64_t ts_run) {
+  const uint64_t add = n + ts_run;
+  if (add == 0) return;
+  while (level_count_[level] + add > level_slots_[level].size()) Grow(level);
+  std::vector<Bucket>& slots = level_slots_[level];
+  const uint32_t cap = static_cast<uint32_t>(slots.size());
+  uint32_t idx = level_head_[level] + level_count_[level];
+  if (idx >= cap) idx -= cap;
+  for (size_t x = 0; x < n; ++x) {
+    slots[idx].end = ends[x];
+    if (++idx == cap) idx = 0;
+  }
+  for (uint64_t x = 0; x < ts_run; ++x) {
+    slots[idx].end = ts;
+    if (++idx == cap) idx = 0;
+  }
+  level_count_[level] += static_cast<uint32_t>(add);
+  if (level > top_level_ || level_count_[top_level_] == 0) top_level_ = level;
+}
+
+void ExponentialHistogram::PopFrontN(size_t level, uint32_t n) {
+  if (n == 0) return;
+  const uint32_t cap = static_cast<uint32_t>(level_slots_[level].size());
+  level_head_[level] += n;
+  if (level_head_[level] >= cap) level_head_[level] -= cap;
+  level_count_[level] -= n;
+  if (level_count_[level] == 0 && level == top_level_) {
+    while (top_level_ > 0 && level_count_[top_level_] == 0) --top_level_;
+  }
+}
+
 void ExponentialHistogram::AddOne(Timestamp ts) {
   ++num_buckets_;
   EnsureLevel(0);
@@ -59,69 +92,68 @@ void ExponentialHistogram::AddOne(Timestamp ts) {
   }
 }
 
-void ExponentialHistogram::AddBatch(Timestamp ts, uint64_t count) {
+void ExponentialHistogram::Cascade(const Timestamp* expl, size_t n_expl,
+                                   Timestamp ts, uint64_t ts_run) {
   // Closed-form, level-by-level propagation of the unit-insert cascade.
-  // The incoming buckets of the current level are `expl` — explicit end
-  // timestamps emitted by merges of pre-existing buckets one level below,
-  // oldest first — followed by a run of `ts_run` buckets all ending at
-  // `ts`. The final state is exactly what `count` sequential AddOne calls
-  // would leave behind, at O(log(count) + level_capacity_) bucket ops.
+  // A level's state depends only on its own buckets and the order of its
+  // incoming ones, so levels can be settled one at a time. The incoming
+  // buckets of the current level are `expl` — explicit end timestamps,
+  // oldest first: the caller's run at level 0, above it the ends emitted
+  // by merges one level below — followed by a run of `ts_run` buckets all
+  // ending at `ts`. The final state is exactly what the same sequence of
+  // AddOne calls would leave behind, at O(n_expl + log(ts_run) +
+  // level_capacity_) bucket ops.
   //
-  // Reused thread-local scratch keeps the weighted path allocation-free
-  // after warm-up (sizes are bounded by level_capacity_; a histogram is
-  // not shared across threads anyway).
-  static thread_local std::vector<Timestamp> expl, next_expl;
-  expl.clear();
-  uint64_t ts_run = count;
+  // Reused thread-local scratch keeps the path allocation-free after
+  // warm-up (a histogram is not shared across threads anyway); levels
+  // alternate between the two buffers.
+  static thread_local std::vector<Timestamp> scratch[2];
+  size_t next = 0;
   int64_t bucket_delta = 0;
-  for (size_t i = 0; ts_run + expl.size() > 0; ++i) {
+  for (size_t i = 0; ts_run + n_expl > 0; ++i) {
     EnsureLevel(i);
     const uint64_t c = level_capacity_;
     const uint64_t m = level_count_[i];
-    const uint64_t k = expl.size() + ts_run;
+    const uint64_t k = n_expl + ts_run;
     // Merges the unit cascade performs here: the first fires once the
     // level fills to c, then one more per two further appends.
     const uint64_t merges = (k >= c - m) ? 1 + (k - (c - m)) / 2 : 0;
     bucket_delta +=
         static_cast<int64_t>(k) - 2 * static_cast<int64_t>(merges);
     if (merges == 0) {
-      for (Timestamp e : expl) PushBack(i, Bucket{e});
-      for (uint64_t j = 0; j < ts_run; ++j) PushBack(i, Bucket{ts});
+      AppendBuckets(i, expl, n_expl, ts, ts_run);
       break;
     }
     // Merge j (1-based) coalesces elements 2j-1 and 2j of the oldest-first
     // sequence [existing buckets, expl, ts-run] and emits a bucket ending
-    // at element 2j into the next level; once 2j lands in the ts-run every
-    // remaining merge emits `ts`.
-    next_expl.clear();
-    uint64_t next_ts_run = 0;
-    for (uint64_t j = 1; j <= merges; ++j) {
-      const uint64_t p = 2 * j;
-      if (p <= m) {
-        next_expl.push_back(At(i, static_cast<uint32_t>(p - 1)).end);
-      } else if (p <= m + expl.size()) {
-        next_expl.push_back(expl[p - m - 1]);
-      } else {
-        next_ts_run = merges - j + 1;
-        break;
-      }
+    // at element 2j into the next level: the first merges emit existing
+    // ends, the next ones ends from `expl`, and once 2j lands in the
+    // ts-run every remaining merge emits `ts`.
+    const uint64_t from_existing = std::min(merges, m / 2);
+    const uint64_t next_n_expl = std::min(merges, (m + n_expl) / 2);
+    std::vector<Timestamp>& next_expl = scratch[next];
+    if (next_expl.size() < next_n_expl) next_expl.resize(next_n_expl);
+    Timestamp* out = next_expl.data();
+    for (uint64_t j = 1; j <= from_existing; ++j) {
+      *out++ = At(i, static_cast<uint32_t>(2 * j - 1)).end;
+    }
+    for (uint64_t j = from_existing + 1; j <= next_n_expl; ++j) {
+      *out++ = expl[2 * j - m - 1];
     }
     // Consume the merged prefix: drop min(2*merges, m) existing buckets,
     // then skip the first (2*merges - m) incoming ones (which the unit
     // cascade would have appended and immediately merged away), and append
     // what survives.
     const uint64_t consumed_existing = std::min(2 * merges, m);
-    for (uint64_t j = 0; j < consumed_existing; ++j) PopFront(i);
+    PopFrontN(i, static_cast<uint32_t>(consumed_existing));
     const uint64_t dropped_in = 2 * merges - consumed_existing;
-    const uint64_t dropped_expl = std::min<uint64_t>(dropped_in, expl.size());
-    for (size_t x = dropped_expl; x < expl.size(); ++x) {
-      PushBack(i, Bucket{expl[x]});
-    }
-    for (uint64_t x = dropped_in - dropped_expl; x < ts_run; ++x) {
-      PushBack(i, Bucket{ts});
-    }
-    expl.swap(next_expl);
-    ts_run = next_ts_run;
+    const uint64_t dropped_expl = std::min<uint64_t>(dropped_in, n_expl);
+    AppendBuckets(i, expl + dropped_expl, n_expl - dropped_expl, ts,
+                  ts_run - (dropped_in - dropped_expl));
+    expl = next_expl.data();
+    n_expl = next_n_expl;
+    next ^= 1;
+    ts_run = merges - next_n_expl;
   }
   num_buckets_ =
       static_cast<size_t>(static_cast<int64_t>(num_buckets_) + bucket_delta);
@@ -135,9 +167,35 @@ void ExponentialHistogram::Add(Timestamp ts, uint64_t count) {
   if (count == 1) {
     AddOne(ts);
   } else if (count > 1) {
-    AddBatch(ts, count);
+    Cascade(nullptr, 0, ts, count);
   }
   Expire(ts);
+}
+
+void ExponentialHistogram::AddSortedUnits(const Timestamp* ts, size_t n) {
+  assert(std::is_sorted(ts, ts + n));
+  while (n > 0) {
+    assert(ts[0] >= last_ts_ && "timestamps must be non-decreasing");
+    // Every bucket end held or created during a run is >= `oldest`: new
+    // buckets end at run timestamps (>= every held end) and a cascade
+    // merge keeps the newer end. So while an arrival's window start stays
+    // below `oldest`, its expiry drops nothing and can be skipped; the
+    // run ends with the first arrival that might expire a bucket, and
+    // that arrival's expiry runs once the run is in.
+    const Timestamp oldest = Empty() ? ts[0] : At(top_level_, 0).end;
+    const Timestamp* cut =
+        std::partition_point(ts, ts + n - 1, [&](Timestamp t) {
+          return WindowStart(t, window_len_) < oldest;
+        });
+    const size_t run = static_cast<size_t>(cut - ts) + 1;
+    Cascade(ts, run, 0, 0);
+    last_ts_ = ts[run - 1];
+    lifetime_ += run;
+    total_ += run;
+    Expire(last_ts_);
+    ts += run;
+    n -= run;
+  }
 }
 
 void ExponentialHistogram::Expire(Timestamp now) {
@@ -283,14 +341,7 @@ size_t ExponentialHistogram::MemoryBytes() const {
 std::vector<BucketView> ExponentialHistogram::Buckets() const {
   std::vector<BucketView> out;
   out.reserve(num_buckets_);
-  Timestamp prev_end = expired_end_;
-  for (size_t i = NumLevels(); i-- > 0;) {
-    uint64_t size = 1ULL << i;
-    for (uint32_t j = 0; j < level_count_[i]; ++j) {
-      out.push_back(BucketView{prev_end, At(i, j).end, size});
-      prev_end = At(i, j).end;
-    }
-  }
+  ForEachBucket([&out](const BucketView& b) { out.push_back(b); });
   return out;
 }
 

@@ -26,7 +26,8 @@
 // cascade level by level in closed form and reproduces the exact bucket
 // state that `count` sequential unit inserts would produce, so estimates,
 // invariant 1, merges and the wire encoding are all indistinguishable from
-// the sequential path.
+// the sequential path. AddSortedUnits feeds a sorted run of unit arrivals
+// through the same cascade, with the run as level 0's incoming buckets.
 //
 // Space: O(log²(N) / ε) bits. Amortized update: O(1). Both window models
 // are supported; the timestamp convention is defined in window_spec.h.
@@ -74,6 +75,16 @@ class ExponentialHistogram {
   /// Weighted inserts are O(log(count) + 1/ε) and produce the same bucket
   /// state as `count` unit inserts.
   void Add(Timestamp ts, uint64_t count = 1);
+
+  /// Registers one arrival at each of `ts[0..n)` (non-decreasing, >= 1,
+  /// none older than the last Add) and leaves exactly the state of `n`
+  /// calls `Add(ts[i], 1)`. The arrivals go through the closed-form
+  /// cascade in runs: a run ends at the first arrival whose window start
+  /// reaches the oldest bucket end held when the run began (the run's
+  /// first timestamp if none is held), since before it no per-arrival
+  /// expiry could drop anything. The §5.1 merge replays its unit events
+  /// through here.
+  void AddSortedUnits(const Timestamp* ts, size_t n);
 
   /// Estimated number of arrivals with timestamp in (now - range, now].
   /// `range` is clamped to the configured window length. `now` must be
@@ -127,9 +138,24 @@ class ExponentialHistogram {
   /// Approximate in-memory footprint in bytes (segments + directory).
   size_t MemoryBytes() const;
 
-  /// Snapshot of all buckets, oldest first, with reconstructed start
-  /// timestamps (paper §5: s(b_j) = e(b_{j+1}), oldest bucket uses the
-  /// expiry watermark). Used by the §5.1 merge and by tests.
+  /// Calls `f(const BucketView&)` for every bucket, oldest first, with
+  /// reconstructed start timestamps (paper §5: s(b_j) = e(b_{j+1}), the
+  /// oldest bucket uses the expiry watermark). The §5.1 merge walks the
+  /// bucket log through this without materialising it.
+  template <typename F>
+  void ForEachBucket(F&& f) const {
+    Timestamp prev_end = expired_end_;
+    for (size_t i = NumLevels(); i-- > 0;) {
+      const uint64_t size = 1ULL << i;
+      for (uint32_t j = 0; j < level_count_[i]; ++j) {
+        const Timestamp end = At(i, j).end;
+        f(BucketView{prev_end, end, size});
+        prev_end = end;
+      }
+    }
+  }
+
+  /// Snapshot of ForEachBucket's walk as a vector.
   std::vector<BucketView> Buckets() const;
 
   double epsilon() const { return epsilon_; }
@@ -201,6 +227,11 @@ class ExponentialHistogram {
     }
     return b;
   }
+  // Bulk forms of PushBack/PopFront for the cascade: append `ends[0..n)`
+  // then `ts_run` copies of `ts`; drop the `n` oldest buckets.
+  void AppendBuckets(size_t level, const Timestamp* ends, size_t n,
+                     Timestamp ts, uint64_t ts_run);
+  void PopFrontN(size_t level, uint32_t n);
   // Grows the level directory so that `level` exists (no slot storage is
   // allocated until the level receives its first bucket).
   void EnsureLevel(size_t level) {
@@ -213,8 +244,12 @@ class ExponentialHistogram {
 
   // Inserts a single 1-bit at `ts` and cascades merges (unit fast path).
   void AddOne(Timestamp ts);
-  // Inserts `count` 1-bits at `ts` by closed-form cascade propagation.
-  void AddBatch(Timestamp ts, uint64_t count);
+  // Inserts 1-bits by closed-form cascade propagation: one at each of
+  // `expl[0..n_expl)` (oldest first), then `ts_run` more at `ts`. Leaves
+  // the bucket state of the same unit inserts made by AddOne; counters,
+  // the clock and expiry are the caller's.
+  void Cascade(const Timestamp* expl, size_t n_expl, Timestamp ts,
+               uint64_t ts_run);
 
   double epsilon_;
   uint64_t window_len_;

@@ -1,28 +1,117 @@
 #include "src/window/merge.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "src/util/random.h"
 
 namespace ecm {
 
-void AppendBucketEvents(const std::vector<BucketView>& buckets,
-                        std::vector<ReplayEvent>* events) {
-  for (const BucketView& b : buckets) {
-    if (b.size == 0) continue;
-    uint64_t at_start = b.size / 2;
-    uint64_t at_end = b.size - at_start;
-    Timestamp start = std::max<Timestamp>(b.start, 1);
-    Timestamp end = std::max<Timestamp>(b.end, 1);
-    if (at_start > 0 && start < end) {
-      events->push_back(ReplayEvent{start, at_start});
-      events->push_back(ReplayEvent{end, at_end});
-    } else {
-      // Zero-width bucket (or start clamped past end): everything at end.
-      events->push_back(ReplayEvent{end, b.size});
+namespace merge_internal {
+
+namespace {
+
+// Two-way stable merge of a[0, na) and b[0, nb) into out[0, na + nb):
+// `a` goes first on equal timestamps. The heads of two interleaved runs
+// compare unpredictably, so each step selects values (conditional moves)
+// instead of branching, which leaves one dependent load-compare chain per
+// output. To run two such chains at once, the merge is bidirectional:
+// the front fills the first half taking minima, the back fills the second
+// half taking maxima (`b` first on ties), and both are the same unique
+// stable merge. The main loop runs in chunks short enough that neither
+// chain can run out of input; the short remainder is merged with plain
+// branches.
+void MergeTwoRuns(const ReplayEvent* a, size_t na, const ReplayEvent* b,
+                  size_t nb, ReplayEvent* out) {
+  // x when `pick_x`, else y, by masking: compilers keep this branch-free
+  // where a ternary on the comparison may become a jump.
+  auto select = [](size_t pick_x, uint64_t x, uint64_t y) {
+    const uint64_t mask = 0 - static_cast<uint64_t>(pick_x);
+    return (x & mask) | (y & ~mask);
+  };
+  size_t fa = 0, fb = 0;    // front: next unread of a, b
+  size_t ra = na, rb = nb;  // back: one past the last unread of a, b
+  ReplayEvent* front = out;
+  ReplayEvent* back = out + na + nb;
+  size_t front_left = (na + nb + 1) / 2;
+  size_t back_left = (na + nb) / 2;
+  for (;;) {
+    size_t steps = std::min({back_left, na - fa, nb - fb, ra, rb});
+    if (steps == 0) break;
+    front_left -= steps;
+    back_left -= steps;
+    for (; steps > 0; --steps) {
+      const ReplayEvent x = a[fa], y = b[fb];
+      const size_t take_b = y.ts < x.ts;
+      front->ts = select(take_b, y.ts, x.ts);
+      front->count = select(take_b, y.count, x.count);
+      ++front;
+      fa += 1 - take_b;
+      fb += take_b;
+      const ReplayEvent u = a[ra - 1], v = b[rb - 1];
+      const size_t take_a = v.ts < u.ts;
+      --back;
+      back->ts = select(take_a, u.ts, v.ts);
+      back->count = select(take_a, u.count, v.count);
+      ra -= take_a;
+      rb -= 1 - take_a;
     }
   }
+  for (; front_left > 0; --front_left) {
+    const bool take_b = fa == na || (fb < nb && b[fb].ts < a[fa].ts);
+    *front++ = take_b ? b[fb++] : a[fa++];
+  }
+  for (; back_left > 0; --back_left) {
+    const bool take_a = rb == 0 || (ra > 0 && b[rb - 1].ts < a[ra - 1].ts);
+    *--back = take_a ? a[--ra] : b[--rb];
+  }
 }
+
+}  // namespace
+
+ReplayScratch& ThreadReplayScratch() {
+  static thread_local ReplayScratch scratch;
+  return scratch;
+}
+
+const ReplayEvent* MergeSortedRuns(std::vector<ReplayEvent>* events,
+                                   std::vector<size_t>* bounds,
+                                   std::vector<ReplayEvent>* spare) {
+  const size_t n = events->size();
+  std::vector<size_t>& b = *bounds;
+  for (size_t r = 0; r + 1 < b.size(); ++r) {
+    assert(std::is_sorted(events->begin() + b[r], events->begin() + b[r + 1],
+                          [](const ReplayEvent& x, const ReplayEvent& y) {
+                            return x.ts < y.ts;
+                          }));
+  }
+  if (b.size() <= 2) return events->data();
+  if (spare->size() < n) spare->resize(n);
+  ReplayEvent* src = events->data();
+  ReplayEvent* dst = spare->data();
+  // Each pass merges neighbouring runs (0,1), (2,3), ... and carries an
+  // odd last run over, so runs only ever meet their neighbours and the
+  // lower-index run stays on the left.
+  while (b.size() > 2) {
+    size_t kept = 0;
+    size_t r = 0;
+    for (; r + 2 < b.size(); r += 2) {
+      MergeTwoRuns(src + b[r], b[r + 1] - b[r], src + b[r + 1],
+                   b[r + 2] - b[r + 1], dst + b[r]);
+      b[kept++] = b[r];
+    }
+    if (r + 1 < b.size()) {
+      std::copy(src + b[r], src + b[r + 1], dst + b[r]);
+      b[kept++] = b[r];
+    }
+    b[kept++] = n;
+    b.resize(kept);
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+}  // namespace merge_internal
 
 namespace {
 

@@ -6,7 +6,24 @@
 // interleaved logical stream S₁ ⊕ S₂ ⊕ … ⊕ Sₙ with bounded error
 // inflation (Theorem 4: ε + ε' + εε'), by treating each input bucket as a
 // log entry — half its content replayed at the bucket's start time, half
-// at its end time — and feeding the replay into a fresh synopsis.
+// at its end time — and feeding the replay, in timestamp order, into a
+// fresh synopsis. The bound needs that replay to be exact; the two steps
+// below make it cheap without changing a single replayed arrival.
+//
+//   * Run merge instead of a sort. Each input's bucket log is oldest
+//     first, so its replay events already form a non-decreasing run
+//     (decoders reject images that break this). The k runs are merged
+//     pairwise into thread-local scratch, taking the lower input on equal
+//     timestamps — exactly the order a stable sort of the concatenated
+//     events gives, so the merged synopsis is byte-identical to it.
+//   * Bulk unit append (exponential histograms). Almost every replay
+//     event is a single arrival. Runs of them go through
+//     ExponentialHistogram::AddSortedUnits, the closed-form cascade that
+//     weighted adds use, instead of one Add each. That leaves exactly the
+//     state of the per-event adds: the cascade reproduces the unit
+//     inserts, and a run is cut where a per-event expiry could first drop
+//     a bucket (see AddSortedUnits). Weighted events, and every event of
+//     other counters, still go through Add.
 //
 // Randomized waves merge losslessly (§5.2) by uniting per-level samples.
 //
@@ -20,7 +37,7 @@
 #define ECM_WINDOW_MERGE_H_
 
 #include <algorithm>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "src/util/result.h"
@@ -34,23 +51,49 @@ struct ReplayEvent {
   uint64_t count;
 };
 
-/// Expands a bucket log into replay events: ⌊C/2⌋ arrivals at the bucket's
+/// Expands one bucket into replay events: ⌊C/2⌋ arrivals at the bucket's
 /// start time, ⌈C/2⌉ at its end time (end gets the odd arrival so that
 /// zero-width and size-1 buckets stay at their known newest timestamp).
-/// Timestamps are clamped to >= 1 per the Add() convention.
-void AppendBucketEvents(const std::vector<BucketView>& buckets,
-                        std::vector<ReplayEvent>* events);
-
-/// Sorts events by timestamp (stable) and replays them into `target`,
-/// which may be any sliding-window counter.
-template <SlidingWindowCounter C>
-void ReplayInto(std::vector<ReplayEvent> events, C* target) {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const ReplayEvent& a, const ReplayEvent& b) {
-                     return a.ts < b.ts;
-                   });
-  for (const ReplayEvent& e : events) target->Add(e.ts, e.count);
+/// Timestamps are clamped to >= 1 per the Add() convention; the clamp is
+/// monotone, so an oldest-first log still expands to a sorted run.
+inline void AppendBucketEvents(const BucketView& b,
+                               std::vector<ReplayEvent>* events) {
+  if (b.size == 0) return;
+  const uint64_t at_start = b.size / 2;
+  const Timestamp start = std::max<Timestamp>(b.start, 1);
+  const Timestamp end = std::max<Timestamp>(b.end, 1);
+  if (at_start > 0 && start < end) {
+    events->push_back(ReplayEvent{start, at_start});
+    events->push_back(ReplayEvent{end, b.size - at_start});
+  } else {
+    // Zero-width bucket (or start clamped past end): everything at end.
+    events->push_back(ReplayEvent{end, b.size});
+  }
 }
+
+namespace merge_internal {
+
+/// MergeByReplay's buffers, reused across cells.
+struct ReplayScratch {
+  std::vector<ReplayEvent> events, spare;
+  std::vector<size_t> bounds;
+  std::vector<Timestamp> units;
+};
+
+/// The calling thread's scratch: concurrent merges on different threads
+/// never share it.
+ReplayScratch& ThreadReplayScratch();
+
+/// Merges the sorted runs `(*events)[bounds[r], bounds[r+1])` into one
+/// sequence sorted by timestamp, earlier runs first on ties (the order of
+/// a stable sort of the whole vector). `bounds` starts at 0, ends at
+/// events->size() and is consumed. Returns the merged sequence, which is
+/// in either `*events` or `*spare`.
+const ReplayEvent* MergeSortedRuns(std::vector<ReplayEvent>* events,
+                                   std::vector<size_t>* bounds,
+                                   std::vector<ReplayEvent>* spare);
+
+}  // namespace merge_internal
 
 /// Merges time-based deterministic synopses — exponential histograms
 /// (§5.1, Theorem 4), deterministic waves ("the aggregation technique
@@ -67,16 +110,46 @@ Result<C> MergeByReplay(const std::vector<const C*>& inputs,
   if (inputs.empty()) {
     return Status::InvalidArgument("MergeByReplay: no inputs");
   }
-  std::vector<ReplayEvent> events;
+  merge_internal::ReplayScratch& scratch =
+      merge_internal::ThreadReplayScratch();
+  std::vector<ReplayEvent>& events = scratch.events;
+  events.clear();
+  scratch.bounds.assign(1, 0);
+  auto append = [&events](const BucketView& b) {
+    AppendBucketEvents(b, &events);
+  };
   for (const C* c : inputs) {
     if (c->window_len() != merged_cfg.window_len) {
       return Status::Incompatible(
           "MergeByReplay: an input's window differs from the merged one");
     }
-    AppendBucketEvents(c->Buckets(), &events);
+    if constexpr (requires { c->ForEachBucket(append); }) {
+      c->ForEachBucket(append);
+    } else {
+      for (const BucketView& b : c->Buckets()) append(b);
+    }
+    scratch.bounds.push_back(events.size());
   }
+  const size_t n = events.size();
+  const ReplayEvent* sorted = merge_internal::MergeSortedRuns(
+      &events, &scratch.bounds, &scratch.spare);
   C merged(merged_cfg);
-  ReplayInto(std::move(events), &merged);
+  if constexpr (std::is_same_v<C, ExponentialHistogram>) {
+    std::vector<Timestamp>& units = scratch.units;
+    units.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (sorted[i].count == 1) {
+        units.push_back(sorted[i].ts);
+        continue;
+      }
+      merged.AddSortedUnits(units.data(), units.size());
+      units.clear();
+      merged.Add(sorted[i].ts, sorted[i].count);
+    }
+    merged.AddSortedUnits(units.data(), units.size());
+  } else {
+    for (size_t i = 0; i < n; ++i) merged.Add(sorted[i].ts, sorted[i].count);
+  }
   return merged;
 }
 

@@ -435,5 +435,64 @@ TEST(SketchChannelTest, SenderResetRebasesWithFullImage) {
   EXPECT_EQ(sender.Ship(local).kind, SketchWireKind::kFull);
 }
 
+TEST(SketchChannelTest, FullChannelRoundTripsWithoutAReference) {
+  // A kFull channel never encodes against a reference, so neither end
+  // keeps a copy of the last image. Images still round-trip bit-exactly.
+  CompressionOptions opts;
+  opts.mode = CompressionMode::kFull;
+  SketchSender<ExponentialHistogram> sender(opts);
+  SketchReceiver<ExponentialHistogram> receiver(opts);
+  auto local = MakeSketch<ExponentialHistogram>();
+  Timestamp ts = 1;
+  for (int round = 0; round < 6; ++round) {
+    Feed(&local, 60, 111 + static_cast<uint64_t>(round), &ts);
+    SketchWireImage img = sender.Ship(local);
+    ASSERT_EQ(img.kind, SketchWireKind::kFull);
+    auto got = receiver.Receive(img.kind, img.bytes.data(), img.bytes.size());
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_EQ(SerializeSketch(**got), SerializeSketch(local))
+        << "round " << round;
+  }
+  // With no reference kept, an RLZ image against the image just applied
+  // cannot decode there: it rejects as a stale base, never a wrong merge.
+  CompressionOptions rlz_opts;
+  rlz_opts.mode = CompressionMode::kRlz;
+  SketchSender<ExponentialHistogram> rlz_sender(rlz_opts);
+  ASSERT_EQ(rlz_sender.Ship(local).kind, SketchWireKind::kFull);
+  Feed(&local, 20, 120, &ts);
+  SketchWireImage rlz = rlz_sender.Ship(local);
+  ASSERT_EQ(rlz.kind, SketchWireKind::kRlz);
+  auto stale = receiver.Receive(rlz.kind, rlz.bytes.data(), rlz.bytes.size());
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kStaleBase);
+}
+
+TEST(SketchChannelTest, RlzImagesEncodeAgainstThePreviousFullImage) {
+  // Pins the ECMZ bytes: every RLZ image is RlzEncode of the current full
+  // image against the full image of the previous Ship.
+  CompressionOptions opts;
+  opts.mode = CompressionMode::kRlz;
+  SketchSender<ExponentialHistogram> sender(opts);
+  auto local = MakeSketch<ExponentialHistogram>();
+  Timestamp ts = 1;
+  std::vector<uint8_t> previous;
+  int rlz_images = 0;
+  for (int round = 0; round < 12; ++round) {
+    Feed(&local, 40, 131 + static_cast<uint64_t>(round), &ts);
+    const std::vector<uint8_t> full = SerializeSketch(local);
+    SketchWireImage img = sender.Ship(local);
+    if (img.kind == SketchWireKind::kRlz) {
+      ++rlz_images;
+      EXPECT_EQ(img.bytes,
+                RlzEncode(previous, full.data(), full.size(), opts.epoch))
+          << "round " << round;
+    } else {
+      EXPECT_EQ(img.bytes, full) << "round " << round;
+    }
+    previous = full;
+  }
+  EXPECT_GT(rlz_images, 0);
+}
+
 }  // namespace
 }  // namespace ecm

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
+#include "src/util/bytes.h"
 #include "src/util/random.h"
+#include "src/util/status.h"
 
 namespace ecm {
 namespace {
@@ -163,6 +166,87 @@ TEST(DeterministicWaveTest, DeserializeRejectsGarbage) {
   std::vector<uint8_t> junk = {0x42, 0x00};
   ByteReader r(junk.data(), junk.size());
   EXPECT_FALSE(DeterministicWave::Deserialize(&r).ok());
+}
+
+// A hand-built DW image in SerializeTo's layout: the header, then per
+// level its anchor and its entries as ascending (rank, ts) deltas.
+struct DwLevel {
+  uint64_t anchor_rank;
+  Timestamp anchor_ts;
+  std::vector<std::pair<uint64_t, Timestamp>> entries;  // (rank, ts)
+};
+
+std::vector<uint8_t> DwImage(uint64_t lifetime, Timestamp last_ts,
+                             const std::vector<DwLevel>& levels) {
+  ByteWriter w;
+  w.PutFixed<uint8_t>(0xD3);
+  w.PutDouble(0.5);
+  w.PutVarint(1000);  // window
+  w.PutVarint(4);     // level capacity
+  w.PutVarint(levels.size());
+  w.PutVarint(lifetime);
+  w.PutVarint(last_ts);
+  for (const DwLevel& level : levels) {
+    w.PutVarint(level.anchor_rank);
+    w.PutVarint(level.anchor_ts);
+    w.PutVarint(level.entries.size());
+    uint64_t prev_rank = 0;
+    Timestamp prev_ts = 0;
+    for (const auto& [rank, ts] : level.entries) {
+      w.PutVarint(rank - prev_rank);  // a descending value wraps the delta
+      w.PutVarint(ts - prev_ts);
+      prev_rank = rank;
+      prev_ts = ts;
+    }
+  }
+  return w.bytes();
+}
+
+StatusCode DecodeDwImage(const std::vector<uint8_t>& image) {
+  ByteReader r(image.data(), image.size());
+  auto dw = DeterministicWave::Deserialize(&r);
+  return dw.ok() ? StatusCode::kOk : dw.status().code();
+}
+
+TEST(DeterministicWaveTest, DeserializeChecksEntryLayout) {
+  // Well formed: 8 arrivals, rank r at ts 5r; level 0 keeps ranks 6..8,
+  // level 1 the even ranks 4..8.
+  const DwLevel level1 = {2, 10, {{4, 20}, {6, 30}, {8, 40}}};
+  EXPECT_EQ(DecodeDwImage(DwImage(8, 40, {{5, 25, {{6, 30}, {7, 35}, {8, 40}}},
+                                          level1})),
+            StatusCode::kOk);
+  // An entry's rank exceeds the lifetime.
+  EXPECT_EQ(DecodeDwImage(DwImage(8, 40, {{5, 25, {{6, 30}, {7, 35}, {9, 40}}},
+                                          level1})),
+            StatusCode::kCorruption);
+  // An anchor's rank exceeds the lifetime.
+  EXPECT_EQ(DecodeDwImage(DwImage(8, 40, {{9, 25, {{6, 30}, {7, 35}, {8, 40}}},
+                                          level1})),
+            StatusCode::kCorruption);
+  // An entry's timestamp exceeds last_ts.
+  EXPECT_EQ(DecodeDwImage(DwImage(8, 40, {{5, 25, {{6, 30}, {7, 35}, {8, 41}}},
+                                          level1})),
+            StatusCode::kCorruption);
+  // An anchor's timestamp exceeds last_ts.
+  EXPECT_EQ(DecodeDwImage(DwImage(8, 40, {{5, 45, {{6, 30}, {7, 35}, {8, 40}}},
+                                          level1})),
+            StatusCode::kCorruption);
+  // Timestamps descend within a level (the delta wraps the running sum).
+  EXPECT_EQ(DecodeDwImage(DwImage(8, 40, {{5, 25, {{6, 30}, {7, 28}, {8, 40}}},
+                                          level1})),
+            StatusCode::kCorruption);
+  // Across levels: level 1 stamps rank 6 after level 0 stamps rank 7.
+  EXPECT_EQ(DecodeDwImage(DwImage(8, 40, {{5, 25, {{6, 30}, {7, 31}, {8, 40}}},
+                                          {2, 10, {{4, 20}, {6, 33}, {8, 40}}}})),
+            StatusCode::kCorruption);
+  // Across levels, anchors included: level 1's anchor, rank 4, is
+  // stamped after level 0's anchor, rank 5 (and before its own entries).
+  EXPECT_EQ(DecodeDwImage(DwImage(8, 40, {{5, 25, {{6, 30}, {7, 35}, {8, 40}}},
+                                          {4, 20, {{6, 30}, {8, 40}}}})),
+            StatusCode::kOk);
+  EXPECT_EQ(DecodeDwImage(DwImage(8, 40, {{5, 25, {{6, 30}, {7, 35}, {8, 40}}},
+                                          {4, 27, {{6, 30}, {8, 40}}}})),
+            StatusCode::kCorruption);
 }
 
 TEST(DeterministicWaveTest, DegradesGracefullyBeyondProvisionedBound) {

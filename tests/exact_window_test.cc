@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/util/bytes.h"
+#include "src/util/status.h"
+
 namespace ecm {
 namespace {
 
@@ -77,6 +82,34 @@ TEST(ExactWindowTest, DeserializeRejectsGarbage) {
   std::vector<uint8_t> junk = {0x11};
   ByteReader r(junk.data(), junk.size());
   EXPECT_FALSE(ExactWindow::Deserialize(&r).ok());
+}
+
+// A hand-built exact-window image: header, then (ts delta, count) runs.
+StatusCode DecodeExactImage(Timestamp last_ts,
+                            const std::vector<Timestamp>& run_ts) {
+  ByteWriter w;
+  w.PutFixed<uint8_t>(0xE4);
+  w.PutVarint(1000);  // window
+  w.PutVarint(run_ts.size());  // lifetime: one arrival per run
+  w.PutVarint(last_ts);
+  w.PutVarint(run_ts.size());
+  Timestamp prev = 0;
+  for (Timestamp ts : run_ts) {
+    w.PutVarint(ts - prev);  // a descending stamp wraps the delta
+    w.PutVarint(1);
+    prev = ts;
+  }
+  ByteReader r(w.bytes());
+  auto ew = ExactWindow::Deserialize(&r);
+  return ew.ok() ? StatusCode::kOk : ew.status().code();
+}
+
+TEST(ExactWindowTest, DeserializeChecksRunOrder) {
+  EXPECT_EQ(DecodeExactImage(30, {10, 20, 30}), StatusCode::kOk);
+  // A run stamped after last_ts.
+  EXPECT_EQ(DecodeExactImage(30, {10, 20, 31}), StatusCode::kCorruption);
+  // Runs out of order (the delta wraps the running sum).
+  EXPECT_EQ(DecodeExactImage(30, {10, 20, 15}), StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -188,6 +188,113 @@ TEST(ExponentialHistogramTest, DeserializeRejectsTruncation) {
   EXPECT_FALSE(ExponentialHistogram::Deserialize(&r).ok());
 }
 
+// --- bulk unit append ------------------------------------------------
+
+std::vector<uint8_t> EhBytes(const ExponentialHistogram& eh) {
+  ByteWriter w;
+  eh.SerializeTo(&w);
+  return w.bytes();
+}
+
+// Appends `run` both ways — one AddSortedUnits call, and one Add(ts, 1)
+// per arrival — to copies of `base`; true if the states serialise alike.
+bool UnitRunMatchesLoop(const ExponentialHistogram& base,
+                        const std::vector<Timestamp>& run) {
+  ExponentialHistogram bulk = base;
+  ExponentialHistogram loop = base;
+  bulk.AddSortedUnits(run.data(), run.size());
+  for (Timestamp ts : run) loop.Add(ts, 1);
+  return EhBytes(bulk) == EhBytes(loop) &&
+         bulk.NumBuckets() == loop.NumBuckets() &&
+         bulk.BucketTotal() == loop.BucketTotal();
+}
+
+std::vector<Timestamp> SortedRun(Rng* rng, Timestamp first, size_t n,
+                                 uint64_t max_gap) {
+  std::vector<Timestamp> run;
+  Timestamp t = first;
+  for (size_t i = 0; i < n; ++i) {
+    run.push_back(t);
+    t += rng->Uniform(max_gap + 1);
+  }
+  return run;
+}
+
+TEST(ExponentialHistogramTest, SortedUnitsFromEmptySpanSeveralWindows) {
+  // An empty histogram has no held bucket to bound the run by: the bound
+  // is the run's own first timestamp, and the run still has to stop once
+  // that one would expire.
+  Rng rng(31);
+  for (uint64_t window : {1ULL, 7ULL, 100ULL, 1000ULL}) {
+    ExponentialHistogram empty({0.1, window});
+    std::vector<Timestamp> run = SortedRun(&rng, 1, 5000, 3);
+    ASSERT_GT(run.back() - run.front(), 3 * window);
+    EXPECT_TRUE(UnitRunMatchesLoop(empty, run)) << "window " << window;
+  }
+}
+
+TEST(ExponentialHistogramTest, SortedUnitsStopAtTheExpiryBound) {
+  // Held buckets older than the run: arrivals past oldest_end + window
+  // expire them, so the run splits there, again and again.
+  Rng rng(32);
+  ExponentialHistogram eh({0.2, 200});
+  for (Timestamp t = 1; t <= 400; ++t) eh.Add(t);
+  // The first arrival already expires the oldest bucket; later ones keep
+  // expiring as the run slides the window.
+  std::vector<Timestamp> run = SortedRun(&rng, 600, 3000, 2);
+  EXPECT_TRUE(UnitRunMatchesLoop(eh, run));
+  // Runs that end right at, just before and just past the bound.
+  const Timestamp bound = eh.Buckets().front().end + 200;
+  for (Timestamp last : {bound - 1, bound, bound + 1}) {
+    std::vector<Timestamp> edge;
+    for (Timestamp t = 401; t <= last; ++t) edge.push_back(t);
+    EXPECT_TRUE(UnitRunMatchesLoop(eh, edge)) << "last " << last;
+  }
+}
+
+TEST(ExponentialHistogramTest, SortedUnitsCascadeIntoNewTopLevels) {
+  // A small level capacity and a long run: the cascade creates several
+  // levels the histogram did not have.
+  ExponentialHistogram eh({0.5, 1 << 30});
+  for (Timestamp t = 1; t <= 10; ++t) eh.Add(t);
+  const uint64_t top_before = eh.Buckets().front().size;
+  std::vector<Timestamp> run;
+  for (Timestamp t = 11; t <= 20000; ++t) run.push_back(t);
+  EXPECT_TRUE(UnitRunMatchesLoop(eh, run));
+  eh.AddSortedUnits(run.data(), run.size());
+  EXPECT_GE(eh.Buckets().front().size, 64 * top_before);
+  EXPECT_EQ(eh.CheckInvariant(), -1);
+}
+
+TEST(ExponentialHistogramTest, SortedUnitsMatchUnitAddsRandomized) {
+  // Seeded mix of settings, prefixes, runs with ties, and weighted adds
+  // between runs; every state must match the per-arrival loop.
+  Rng rng(33);
+  int mismatches = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const double eps = 0.02 + 0.5 * rng.NextDouble();
+    const uint64_t window = 1 + rng.Uniform(2000);
+    ExponentialHistogram bulk({eps, window}), loop({eps, window});
+    Timestamp t = 1;
+    for (int step = 0; step < 6; ++step) {
+      if (rng.Uniform(2) == 0) {
+        const uint64_t count = 1 + rng.Uniform(40);
+        t += rng.Uniform(50);
+        bulk.Add(t, count);
+        loop.Add(t, count);
+      }
+      std::vector<Timestamp> run =
+          SortedRun(&rng, t + rng.Uniform(3 * window), rng.Uniform(800),
+                    rng.Uniform(4));
+      bulk.AddSortedUnits(run.data(), run.size());
+      for (Timestamp ts : run) loop.Add(ts, 1);
+      if (!run.empty()) t = run.back();
+    }
+    if (EhBytes(bulk) != EhBytes(loop)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 // A hand-built EH image: header fields, then the levels newest first, each
 // its bucket ends as ascending varint deltas (SerializeTo's layout).
 std::vector<uint8_t> EhImage(Timestamp expired_end, Timestamp last_ts,
