@@ -1,8 +1,9 @@
 // Million-live-key scenario for the keyed counter store: sustained add
-// throughput with p50/p99 per-op latency (the incremental rehash means
-// no add stalls on a full-table migration), steady-state memory per
-// resident key against the naive map-of-shared_ptr shape it replaces
-// (SAM's `std::map<string, shared_ptr<EH>>`, plus the hash-keyed
+// throughput with p50/p99 per-op latency (every store here declares a
+// key budget, so its table is sized once and no add pays a table
+// migration), steady-state memory per resident key against the naive
+// map-of-shared_ptr shape it replaces (SAM's
+// `std::map<string, shared_ptr<EH>>`, plus the hash-keyed
 // `std::map<uint64_t, ...>` variant), and the sketch-guarded admission
 // hit rate under a rotating hot set (the identity of the heavy keys
 // drifts, forcing continuous admission + eviction churn).

@@ -266,24 +266,6 @@ class EcmSketch {
     }
   }
 
-  /// Batched admission check for the keyed counter store: heavy_out[k] = 1
-  /// iff the sketch's point estimate of keys[k] over (now - range, now] is
-  /// at least `threshold` — decision-identical to `PointQueryAt(keys[k],
-  /// range, now) >= threshold` but evaluated through the batched row-major
-  /// kernel, so candidate bursts cost one Mix64 pass and d contiguous row
-  /// sweeps instead of n scattered probes.
-  void FlagHeavyKeysAt(const uint64_t* keys, size_t n, uint64_t range,
-                       Timestamp now, double threshold,
-                       uint8_t* heavy_out) const {
-    if (n == 0) return;
-    static thread_local std::vector<double> est;
-    est.resize(n);
-    PointQueryBatchAt(keys, n, range, now, est.data());
-    for (size_t k = 0; k < n; ++k) {
-      heavy_out[k] = est[k] >= threshold ? 1 : 0;
-    }
-  }
-
   /// The d per-row contributions of `key` (out[0..depth)): the statistics
   /// vector of the geometric point monitor, materialized with a single
   /// Mix64 pass instead of one hash per row.

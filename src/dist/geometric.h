@@ -232,11 +232,14 @@ class GeometricMonitorBase {
     // Vectors up, the average back down — the sync's wire cost.
     Transport& transport = coord_.transport();
     for (int i = 0; i < coord_.num_sites(); ++i) {
+      const std::vector<double>& v = states_[static_cast<size_t>(i)].v_sync;
       transport.Send(coord_.site(i).id(), kCoordinatorNode,
+                     reinterpret_cast<const uint8_t*>(v.data()),
                      VectorWireSize(dim_));
     }
     for (int i = 0; i < coord_.num_sites(); ++i) {
       transport.Send(kCoordinatorNode, coord_.site(i).id(),
+                     reinterpret_cast<const uint8_t*>(e_avg_.data()),
                      VectorWireSize(dim_));
     }
     stats_.network.messages += 2 * n;

@@ -41,12 +41,9 @@ namespace wire_internal {
 uint64_t WireChecksum(const uint8_t* data, size_t size);
 
 inline constexpr uint8_t kSketchMagic[4] = {'E', 'C', 'M', 'S'};
-inline constexpr size_t kSketchHeaderBytes =
-    sizeof(kSketchMagic) + sizeof(uint64_t);
 
 /// Verifies `magic` + an FNV-1a payload checksum at the head of
-/// [data, data+size) and positions `r` after them (the RLZ decoder's
-/// header check).
+/// [data, data+size) and positions `r` after them.
 Status CheckWireHeader(const uint8_t* data, size_t size,
                        const uint8_t (&magic)[4], ByteReader* r);
 
@@ -70,12 +67,7 @@ std::vector<uint8_t> SerializeSketch(const EcmSketch<Counter>& sketch) {
       sketch.CounterAt(j, i).SerializeTo(&payload);
     }
   }
-  ByteWriter out;
-  out.PutRaw(wire_internal::kSketchMagic, sizeof(wire_internal::kSketchMagic));
-  out.PutFixed<uint64_t>(
-      wire_internal::WireChecksum(payload.bytes().data(), payload.size()));
-  out.PutRaw(payload.bytes().data(), payload.size());
-  return out.MoveBytes();
+  return wire_internal::WrapWirePayload(wire_internal::kSketchMagic, payload);
 }
 
 /// Reconstructs a sketch from SerializeSketch bytes. Fails with a
@@ -84,22 +76,9 @@ std::vector<uint8_t> SerializeSketch(const EcmSketch<Counter>& sketch) {
 template <SlidingWindowCounter Counter>
 Result<EcmSketch<Counter>> DeserializeSketch(const uint8_t* data,
                                              size_t size) {
-  if (size < wire_internal::kSketchHeaderBytes) {
-    return Status::Corruption("sketch bytes shorter than header");
-  }
   ByteReader r(data, size);
-  for (uint8_t expected : wire_internal::kSketchMagic) {
-    auto b = r.GetFixed<uint8_t>();
-    if (!b.ok()) return b.status();
-    if (*b != expected) return Status::Corruption("bad sketch magic");
-  }
-  auto checksum = r.GetFixed<uint64_t>();
-  if (!checksum.ok()) return checksum.status();
-  const uint8_t* body = data + wire_internal::kSketchHeaderBytes;
-  size_t body_size = size - wire_internal::kSketchHeaderBytes;
-  if (wire_internal::WireChecksum(body, body_size) != *checksum) {
-    return Status::Corruption("sketch checksum mismatch");
-  }
+  ECM_RETURN_NOT_OK(wire_internal::CheckWireHeader(
+      data, size, wire_internal::kSketchMagic, &r));
   auto cfg = DeserializeEcmConfig(&r);
   if (!cfg.ok()) return cfg.status();
   auto now = r.GetVarint();

@@ -256,19 +256,6 @@ SocketTransport::~SocketTransport() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void SocketTransport::Send(NodeId from, NodeId to, size_t payload_bytes) {
-  // Accounting-only callers moved the state elsewhere; ship the claimed
-  // volume as zero bytes so the wire really carries it.
-  Frame f;
-  f.type = FrameType::kBlob;
-  f.from = from;
-  f.to = to;
-  f.payload.assign(payload_bytes, 0);
-  payload_messages_.fetch_add(1, std::memory_order_relaxed);
-  payload_bytes_.fetch_add(payload_bytes, std::memory_order_relaxed);
-  (void)EnqueueFramed(std::move(f));
-}
-
 void SocketTransport::Send(NodeId from, NodeId to, const uint8_t* data,
                            size_t size) {
   Frame f;

@@ -127,8 +127,8 @@ class FrameDecoder {
 /// TCP-backed Transport: connects to a CoordinatorServer and ships real
 /// frames with async batched sends and bounded-queue backpressure. All
 /// send entry points are thread-safe (ParallelIngest workers may share
-/// one transport); the Transport::Send overrides never block the caller
-/// beyond the backpressure bound and record failures in status().
+/// one transport); the Transport::Send override never blocks the caller
+/// beyond the backpressure bound and records failures in status().
 class SocketTransport final : public Transport {
  public:
   struct Options {
@@ -173,13 +173,8 @@ class SocketTransport final : public Transport {
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
-  /// Accounting-only send (size known, state moved elsewhere): ships a
-  /// kBlob frame of `payload_bytes` zero bytes so the claimed volume
-  /// really crosses the wire, and charges NetworkStats exactly like
-  /// LoopbackTransport does.
-  void Send(NodeId from, NodeId to, size_t payload_bytes) override;
-
-  /// Payload-carrying send: frames `data` as kBlob and ships it.
+  /// Frames `data` as kBlob and ships it; charges NetworkStats exactly
+  /// like LoopbackTransport does.
   void Send(NodeId from, NodeId to, const uint8_t* data,
             size_t size) override;
 

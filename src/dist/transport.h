@@ -5,17 +5,12 @@
 // currency — payload bytes as priced by dist/serialize.h wire encodings
 // (sketches) or fixed64 statistics vectors (geometric syncs).
 //
-// Transport has two send forms that charge the same currency:
-//  * Send(from, to, payload_bytes) — accounting-only, for substrates that
-//    deliver state by reference inside one process and only need the wire
-//    cost charged (the experimentally meaningful effect for Fig. 5/6,
-//    Table 4);
-//  * Send(from, to, data, size)    — payload-carrying: implementations
-//    that really move bytes (dist/socket_transport.h) ship `data`
-//    verbatim, while the in-process LoopbackTransport just counts it.
-// Both forms charge exactly `size` payload bytes, so loopback and socket
-// runs of the same propagation script produce identical NetworkStats —
-// the one-accounting-currency invariant.
+// Every send carries the bytes it charges: the socket transport
+// (dist/socket_transport.h) ships `data` verbatim, while the in-process
+// LoopbackTransport only counts it. Both charge exactly `size` payload
+// bytes, so loopback and socket runs of the same propagation script
+// produce identical NetworkStats — the one-accounting-currency invariant
+// (the experimentally meaningful effect for Fig. 5/6, Table 4).
 
 #ifndef ECM_DIST_TRANSPORT_H_
 #define ECM_DIST_TRANSPORT_H_
@@ -42,17 +37,10 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Ships one message of `payload_bytes` from `from` to `to`.
-  virtual void Send(NodeId from, NodeId to, size_t payload_bytes) = 0;
-
-  /// Ships one message carrying `size` payload bytes. Implementations
-  /// that move real bytes deliver `data` verbatim; the default charges
-  /// the accounting-only form, so both forms always cost the same.
+  /// Ships one message carrying the `size` payload bytes at `data` from
+  /// `from` to `to`.
   virtual void Send(NodeId from, NodeId to, const uint8_t* data,
-                    size_t size) {
-    (void)data;
-    Send(from, to, size);
-  }
+                    size_t size) = 0;
 
   /// Cumulative transfer volume across every message ever sent.
   virtual NetworkStats stats() const = 0;
@@ -60,12 +48,13 @@ class Transport {
 
 /// In-process transport: delivery is instantaneous (state moves by
 /// reference inside the runtime), so the observable effect is the
-/// accounting. Counters are atomic — one LoopbackTransport may be shared
-/// by all substrates of a run and by all ParallelIngest workers.
+/// accounting; the payload bytes are not read. Counters are atomic — one
+/// LoopbackTransport may be shared by all substrates of a run and by all
+/// ParallelIngest workers.
 class LoopbackTransport final : public Transport {
  public:
-  using Transport::Send;
-  void Send(NodeId from, NodeId to, size_t payload_bytes) override;
+  void Send(NodeId from, NodeId to, const uint8_t* data,
+            size_t size) override;
   NetworkStats stats() const override;
 
  private:

@@ -1,8 +1,8 @@
 #include "src/engine/keyed_store.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "src/util/hash.h"
 
@@ -21,152 +21,87 @@ KeyTable::KeyTable(KeyResolver resolver, const void* resolver_ctx,
   mask_ = cap - 1;
 }
 
-uint32_t KeyTable::FindIn(const std::vector<uint64_t>& slots, uint64_t mask,
-                          uint32_t tag, uint64_t key) const {
-  size_t slot = tag & mask;
+size_t KeyTable::SlotOf(uint64_t key) const {
+  const uint32_t tag = static_cast<uint32_t>(Mix64(key));
+  size_t slot = tag & mask_;
   size_t dist = 0;
   for (;;) {
-    const uint64_t s = slots[slot];
-    if (SlotVal(s) == kNotFound) return kNotFound;
+    const uint64_t s = slots_[slot];
+    if (SlotVal(s) == kNotFound) return kNoSlot;
     // Tags can collide across distinct keys, so a tag hit is only a
     // candidate; the full key check goes through the resolver. A
     // mismatch keeps probing — the true entry may sit further along.
     if (SlotTag(s) == tag && resolver_(resolver_ctx_, SlotVal(s)) == key) {
-      return SlotVal(s);
+      return slot;
     }
     // Robin-hood bound: entries are ordered by probe distance, so once a
     // resident entry sits closer to home than our probe has walked, the
     // key cannot be further along.
-    if (ProbeDistance(SlotTag(s), slot, mask) < dist) return kNotFound;
-    slot = (slot + 1) & mask;
+    if (ProbeDistance(SlotTag(s), slot) < dist) return kNoSlot;
+    slot = (slot + 1) & mask_;
     ++dist;
   }
 }
 
 uint32_t KeyTable::Find(uint64_t key) const {
-  const uint32_t tag = static_cast<uint32_t>(Mix64(key));
-  uint32_t v = FindIn(slots_, mask_, tag, key);
-  if (v != kNotFound || old_slots_.empty()) return v;
-  return FindIn(old_slots_, old_mask_, tag, key);
+  const size_t slot = SlotOf(key);
+  return slot == kNoSlot ? kNotFound : SlotVal(slots_[slot]);
 }
 
-void KeyTable::InsertInto(std::vector<uint64_t>& slots, uint64_t mask,
-                          uint32_t tag, uint32_t value) {
-  size_t slot = tag & mask;
+void KeyTable::InsertSlot(uint64_t cur) {
+  size_t slot = SlotTag(cur) & mask_;
   size_t dist = 0;
-  uint64_t cur = PackSlot(tag, value);
   for (;;) {
-    if (SlotVal(slots[slot]) == kNotFound) {
-      slots[slot] = cur;
+    if (SlotVal(slots_[slot]) == kNotFound) {
+      slots_[slot] = cur;
       return;
     }
-    const size_t rdist = ProbeDistance(SlotTag(slots[slot]), slot, mask);
+    const size_t rdist = ProbeDistance(SlotTag(slots_[slot]), slot);
     if (rdist < dist) {
-      std::swap(cur, slots[slot]);
+      std::swap(cur, slots_[slot]);
       dist = rdist;
     }
-    slot = (slot + 1) & mask;
+    slot = (slot + 1) & mask_;
     ++dist;
   }
 }
 
-bool KeyTable::EraseFrom(std::vector<uint64_t>& slots, uint64_t mask,
-                         uint32_t tag, uint64_t key) {
-  size_t slot = tag & mask;
-  size_t dist = 0;
-  for (;;) {
-    const uint64_t s = slots[slot];
-    if (SlotVal(s) == kNotFound) return false;
-    if (SlotTag(s) == tag && resolver_(resolver_ctx_, SlotVal(s)) == key) {
-      break;
-    }
-    if (ProbeDistance(SlotTag(s), slot, mask) < dist) return false;
-    slot = (slot + 1) & mask;
-    ++dist;
-  }
-  // Backward-shift deletion: pull the following displaced run one slot
-  // back; no tombstones, so probe sequences stay short forever.
-  for (;;) {
-    const size_t nxt = (slot + 1) & mask;
-    if (SlotVal(slots[nxt]) == kNotFound ||
-        ProbeDistance(SlotTag(slots[nxt]), nxt, mask) == 0) {
-      slots[slot] = PackSlot(0, kNotFound);
-      return true;
-    }
-    slots[slot] = slots[nxt];
-    slot = nxt;
-  }
-}
-
-void KeyTable::MaybeStartRehash() {
-  const size_t primary_live = size_ - old_live_;
-  if (RehashInProgress()) {
-    // The drain normally outpaces inserts 16:1; if a pathological burst
-    // still fills the primary, finish the migration rather than overfill.
-    if (primary_live * 10 >= slots_.size() * 8) {
-      while (RehashInProgress()) DrainStep();
-    }
-    return;
-  }
-  if (primary_live * 10 < slots_.size() * 7) return;
-  old_slots_ = std::move(slots_);
-  old_mask_ = mask_;
-  old_live_ = primary_live;
-  drain_pos_ = 0;
-  const size_t cap = (old_mask_ + 1) * 2;
-  slots_.assign(cap, PackSlot(0, kNotFound));
-  mask_ = cap - 1;
-}
-
-void KeyTable::DrainStep() {
-  if (!RehashInProgress()) return;
-  uint32_t moved = 0;
-  uint32_t scanned = 0;
-  while (old_live_ > 0 && moved < kRehashStep && scanned < 4 * kRehashStep) {
-    const uint64_t s = old_slots_[drain_pos_];
-    if (SlotVal(s) != kNotFound) {
-      InsertInto(slots_, mask_, SlotTag(s), SlotVal(s));
-      old_slots_[drain_pos_] = PackSlot(0, kNotFound);
-      --old_live_;
-      ++moved;
-      ++rehash_steps_;
-    }
-    ++drain_pos_;
-    ++scanned;
-  }
-  if (old_live_ == 0) {
-    old_slots_ = std::vector<uint64_t>();
-    old_mask_ = 0;
-    drain_pos_ = 0;
+void KeyTable::Grow() {
+  std::vector<uint64_t> old = std::move(slots_);
+  slots_.assign(old.size() * 2, PackSlot(0, kNotFound));
+  mask_ = slots_.size() - 1;
+  for (const uint64_t s : old) {
+    if (SlotVal(s) != kNotFound) InsertSlot(s);
   }
 }
 
 void KeyTable::Insert(uint64_t key, uint32_t value) {
   assert(value != kNotFound);
-  MaybeStartRehash();
-  DrainStep();
-  InsertInto(slots_, mask_, static_cast<uint32_t>(Mix64(key)), value);
+  if (size_ * 10 >= slots_.size() * 7) Grow();
+  InsertSlot(PackSlot(static_cast<uint32_t>(Mix64(key)), value));
   ++size_;
 }
 
 bool KeyTable::Erase(uint64_t key) {
-  DrainStep();
-  const uint32_t tag = static_cast<uint32_t>(Mix64(key));
-  if (EraseFrom(slots_, mask_, tag, key)) {
-    --size_;
-    return true;
+  size_t slot = SlotOf(key);
+  if (slot == kNoSlot) return false;
+  // Backward-shift deletion: pull the following displaced run one slot
+  // back; no tombstones, so probe sequences stay short forever.
+  for (;;) {
+    const size_t nxt = (slot + 1) & mask_;
+    if (SlotVal(slots_[nxt]) == kNotFound ||
+        ProbeDistance(SlotTag(slots_[nxt]), nxt) == 0) {
+      slots_[slot] = PackSlot(0, kNotFound);
+      --size_;
+      return true;
+    }
+    slots_[slot] = slots_[nxt];
+    slot = nxt;
   }
-  if (!old_slots_.empty() && EraseFrom(old_slots_, old_mask_, tag, key)) {
-    --size_;
-    --old_live_;
-    return true;
-  }
-  return false;
 }
 
 size_t KeyTable::MemoryBytes() const {
-  return sizeof(*this) + slots_.capacity() * sizeof(uint64_t) +
-         old_slots_.capacity() * sizeof(uint64_t);
+  return sizeof(*this) + slots_.capacity() * sizeof(uint64_t);
 }
 
 // ---------------------------------------------------------------------------
@@ -389,6 +324,8 @@ KeyedCounterStore::KeyedCounterStore(const KeyedStoreConfig& config,
     : config_(config),
       sketch_(sketch),
       pool_(config.epsilon, config.window_len),
+      // A budgeted table is sized so a full budget stays below the 70%
+      // growth load: it never grows.
       table_(&RecordKeyOf, &records_,
              config.max_keys > 0 ? config.max_keys * 10 / 7 + 1 : 1024) {
   fire_fn_ = [this](uint32_t idx) { FireRecord(idx); };
@@ -497,63 +434,6 @@ void KeyedCounterStore::Add(uint64_t key, Timestamp ts, uint64_t weight) {
   AddToRecord(idx, ts, weight);
 }
 
-void KeyedCounterStore::AddBatch(const StreamEvent* events, size_t n) {
-  pending_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    const StreamEvent& ev = events[i];
-    Advance(ev.ts);
-    ++stats_.events_total;
-    const uint32_t idx = table_.Find(ev.key);
-    if (idx != KeyTable::kNotFound) {
-      AddToRecord(idx, ev.ts, 1);
-    } else {
-      pending_.push_back(PendingEvent{ev.key, ev.ts});
-    }
-  }
-  if (pending_.empty()) return;
-  const Timestamp now = wheel_.now();
-
-  // Distinct candidates, ascending: the order is the documented admission
-  // policy when max_keys rations the last slots, and it feeds the sketch
-  // one batched flag query.
-  candidates_.clear();
-  for (const PendingEvent& p : pending_) candidates_.push_back(p.key);
-  std::sort(candidates_.begin(), candidates_.end());
-  candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
-                    candidates_.end());
-  heavy_flags_.assign(candidates_.size(), 1);
-  if (sketch_ && config_.admit_threshold > 0) {
-    sketch_->FlagHeavyKeysAt(candidates_.data(), candidates_.size(),
-                             config_.window_len, now, config_.admit_threshold,
-                             heavy_flags_.data());
-  }
-  for (size_t c = 0; c < candidates_.size(); ++c) {
-    if (!heavy_flags_[c]) continue;
-    if (config_.max_keys > 0 && table_.size() >= config_.max_keys) {
-      ++stats_.capacity_refusals;
-      heavy_flags_[c] = 0;
-      continue;
-    }
-    AdmitKey(candidates_[c]);
-  }
-  // Replay buffered events in arrival order: an admitted key's counters
-  // are exact from its first in-batch appearance.
-  for (const PendingEvent& p : pending_) {
-    const uint32_t idx = table_.Find(p.key);
-    if (idx == KeyTable::kNotFound) {
-      ++stats_.rejected_events;
-      continue;
-    }
-    AddToRecord(idx, p.ts, 1);
-  }
-  for (size_t c = 0; c < candidates_.size(); ++c) {
-    if (!heavy_flags_[c]) continue;
-    const uint32_t idx = table_.Find(candidates_[c]);
-    if (idx != KeyTable::kNotFound) ScheduleOrEvict(idx, now);
-  }
-  pending_.clear();
-}
-
 bool KeyedCounterStore::TryPointQuery(uint64_t key, Timestamp now,
                                       uint64_t range, double* out) const {
   const uint32_t idx = table_.Find(key);
@@ -566,10 +446,7 @@ size_t KeyedCounterStore::MemoryBytes() const {
   return sizeof(*this) + pool_.MemoryBytes() + table_.MemoryBytes() +
          wheel_.MemoryBytes() +
          records_.capacity() * sizeof(KeyRecord) +
-         free_records_.capacity() * sizeof(uint32_t) +
-         pending_.capacity() * sizeof(PendingEvent) +
-         candidates_.capacity() * sizeof(uint64_t) +
-         heavy_flags_.capacity();
+         free_records_.capacity() * sizeof(uint32_t);
 }
 
 }  // namespace ecm

@@ -9,12 +9,11 @@
 // pointer chase per key and a full scan to expire; this store is the
 // production version:
 //
-//   * KeyTable — open-addressing robin-hood table (8-byte key tags +
-//     32-bit record indices in parallel arrays, backward-shift deletion,
-//     no tombstones). Growth is an *incremental* rehash: a second table
-//     is allocated and a bounded number of entries migrate per mutating
-//     op, so no add ever pays a full-table stall — the property the
-//     bench pins with a p99 add-latency ceiling.
+//   * KeyTable — open-addressing robin-hood table (packed 8-byte slots:
+//     32-bit hash tag + 32-bit record index, backward-shift deletion,
+//     no tombstones). A budgeted store sizes it once so a full budget
+//     stays below 70% load and it never grows; an unbudgeted store's
+//     table doubles in one pass past 70% load.
 //   * Slab-arena counters — per-key state is a 32-byte SlabEhState
 //     header embedded in the key record; buckets live in shared slab
 //     pages (window/slab_eh.h), recycled through free lists on
@@ -25,20 +24,21 @@
 //     straight between occupied slots, so a tick's cost is O(keys whose
 //     oldest bucket can actually expire), not O(live keys) — pinned by
 //     a counting test.
-//   * Sketch-guarded admission — unknown keys get exact counters only
-//     when the resident EcmSketch estimates them at or above
-//     `admit_threshold` (batched through FlagHeavyKeysAt / the PR-7
-//     row-major kernels); keys that cool below `evict_threshold` are
-//     evicted back to sketch-only coverage on wheel expiry, so memory
-//     is bounded by the hot-set budget (`max_keys`), not the universe.
+//   * Sketch-guarded admission — an unknown key gets an exact counter
+//     only when the resident EcmSketch's PointQueryAt estimates it at or
+//     above `admit_threshold` at its arrival, and only while the store
+//     holds fewer than `max_keys` keys; keys that cool below
+//     `evict_threshold` are evicted back to sketch-only coverage on
+//     wheel expiry, so memory is bounded by the hot-set budget, not the
+//     universe.
 //
 // Determinism contract (what the oracle-differential test leans on): for
 // admitted keys, every answer is bit-identical to a plain per-key
 // ExponentialHistogram receiving the same Add sequence plus an Expire
 // at each wheel firing — the slab representation is replicated from
 // ExponentialHistogram exactly (see slab_eh.h), and admission decisions
-// are a pure function of (sketch state, candidate key set) so a
-// reference implementation can mirror them.
+// are a pure function of (sketch state, resident count, arriving key) so
+// a reference implementation can mirror them.
 
 #ifndef ECM_ENGINE_KEYED_STORE_H_
 #define ECM_ENGINE_KEYED_STORE_H_
@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "src/core/ecm_sketch.h"
-#include "src/stream/event.h"
 #include "src/window/exponential_histogram.h"
 #include "src/window/slab_eh.h"
 #include "src/window/window_spec.h"
@@ -60,9 +59,8 @@ namespace ecm {
 /// the full key lives in the owner's record array and is consulted
 /// (through the resolver) only when a tag matches, so the table costs 8
 /// bytes per slot instead of 12 and a probe run stays inside one cache
-/// line. Robin-hood probing with backward-shift deletion; growth
-/// rehashes incrementally (kRehashStep entries per mutating op) through
-/// a two-table phase so no single operation pays a full-table migration.
+/// line. Robin-hood probing with backward-shift deletion; an insert that
+/// would pass 70% load first doubles the table in one pass.
 class KeyTable {
  public:
   static constexpr uint32_t kNotFound = 0xFFFFFFFFu;
@@ -86,14 +84,10 @@ class KeyTable {
   bool Erase(uint64_t key);
 
   size_t size() const { return size_; }
-  bool RehashInProgress() const { return !old_slots_.empty(); }
-  uint64_t rehash_steps() const { return rehash_steps_; }
-  size_t Capacity() const { return slots_.size() + old_slots_.size(); }
+  size_t Capacity() const { return slots_.size(); }
   size_t MemoryBytes() const;
 
  private:
-  static constexpr uint32_t kRehashStep = 16;
-
   // Slot layout: tag in the high 32 bits, value in the low 32.
   // A slot is empty iff its value field is kNotFound.
   static uint64_t PackSlot(uint32_t tag, uint32_t value) {
@@ -104,32 +98,24 @@ class KeyTable {
 
   // The tag doubles as the hash: home slot = tag & mask (capacities are
   // <= 2^32, so the low 32 hash bits cover every mask).
-  size_t ProbeDistance(uint32_t tag, size_t slot, uint64_t mask) const {
-    return (slot + mask + 1 - (tag & mask)) & mask;
+  size_t ProbeDistance(uint32_t tag, size_t slot) const {
+    return (slot + mask_ + 1 - (tag & mask_)) & mask_;
   }
-  void InsertInto(std::vector<uint64_t>& slots, uint64_t mask, uint32_t tag,
-                  uint32_t value);
-  uint32_t FindIn(const std::vector<uint64_t>& slots, uint64_t mask,
-                  uint32_t tag, uint64_t key) const;
-  bool EraseFrom(std::vector<uint64_t>& slots, uint64_t mask, uint32_t tag,
-                 uint64_t key);
-  void MaybeStartRehash();
-  void DrainStep();
+
+  static constexpr size_t kNoSlot = ~size_t{0};
+
+  /// Index of the slot holding `key`, or kNoSlot.
+  size_t SlotOf(uint64_t key) const;
+  /// Robin-hood insert of a packed slot (the key must be absent).
+  void InsertSlot(uint64_t slot_value);
+  /// Doubles the table, reinserting every entry in one pass.
+  void Grow();
 
   KeyResolver resolver_;
   const void* resolver_ctx_;
-
-  // Primary table (inserts land here).
   std::vector<uint64_t> slots_;
   uint64_t mask_ = 0;
-  // Draining table during incremental rehash (empty vector otherwise).
-  std::vector<uint64_t> old_slots_;
-  uint64_t old_mask_ = 0;
-  size_t old_live_ = 0;
-  size_t drain_pos_ = 0;
-
   size_t size_ = 0;
-  uint64_t rehash_steps_ = 0;
 };
 
 /// Hierarchical timing wheel over uint32 item ids (record indices).
@@ -227,7 +213,7 @@ struct KeyedStoreConfig {
 /// the O(expiring keys) test: advancing over a span where no key's
 /// oldest bucket can expire must not touch any key.
 struct KeyedStoreStats {
-  uint64_t events_total = 0;     ///< events offered via Add/AddBatch
+  uint64_t events_total = 0;     ///< events offered via Add
   uint64_t exact_events = 0;     ///< events absorbed into exact counters
   uint64_t rejected_events = 0;  ///< events dropped (below threshold/budget)
   uint64_t admissions = 0;
@@ -254,17 +240,9 @@ class KeyedCounterStore {
   /// Feeds one weighted arrival. Unknown keys go through admission.
   void Add(uint64_t key, Timestamp ts, uint64_t weight = 1);
 
-  /// Feeds a timestamp-ordered slice of unit-weight events. Misses are
-  /// buffered and admission runs once per batch over the distinct
-  /// candidate keys (ascending key order decides who gets the last
-  /// budget slots); buffered events of admitted keys are then replayed
-  /// in arrival order, so an admitted key's counters are exact from its
-  /// first in-batch appearance.
-  void AddBatch(const StreamEvent* events, size_t n);
-
   /// Advances the store clock: fires due wheel entries, expiring idle
   /// keys' buckets and evicting the ones that cooled off. Called
-  /// implicitly by Add/AddBatch; call directly to reclaim memory during
+  /// implicitly by Add; call directly to reclaim memory during
   /// ingest gaps.
   void Advance(Timestamp now);
 
@@ -280,6 +258,8 @@ class KeyedCounterStore {
                      double* out) const;
 
   size_t LiveKeys() const { return table_.size(); }
+  /// Key-table slots; fixed from construction when `max_keys` is set.
+  size_t TableCapacity() const { return table_.Capacity(); }
   Timestamp clock() const { return wheel_.now(); }
   const KeyedStoreStats& stats() const { return stats_; }
   const KeyedStoreConfig& config() const { return config_; }
@@ -293,9 +273,9 @@ class KeyedCounterStore {
   std::function<void(uint64_t key, Timestamp now)> on_admit;
   std::function<void(uint64_t key, Timestamp now)> on_evict;
   std::function<void(uint64_t key, Timestamp now)> on_expire;
-  /// Fires for every event absorbed into an exact counter (including
-  /// batch replays, in the order they are applied) — the oracle feeds
-  /// its reference histograms from exactly this sequence.
+  /// Fires for every event absorbed into an exact counter, in the order
+  /// they are applied — the oracle feeds its reference histograms from
+  /// exactly this sequence.
   std::function<void(uint64_t key, Timestamp ts, uint64_t weight)>
       on_exact_add;
 
@@ -324,15 +304,6 @@ class KeyedCounterStore {
   std::vector<KeyRecord> records_;
   std::vector<uint32_t> free_records_;
   KeyedStoreStats stats_;
-
-  // Batch scratch (members, not statics: stores are independent).
-  struct PendingEvent {
-    uint64_t key;
-    Timestamp ts;
-  };
-  std::vector<PendingEvent> pending_;
-  std::vector<uint64_t> candidates_;
-  std::vector<uint8_t> heavy_flags_;
   std::function<void(uint32_t)> fire_fn_;
 };
 

@@ -49,9 +49,10 @@ std::vector<StreamEvent> ZipfEvents(size_t n, uint32_t sites, uint64_t seed,
 
 TEST(LoopbackTransportTest, CountsMessagesAndBytes) {
   LoopbackTransport t;
-  t.Send(0, kCoordinatorNode, 100);
-  t.Send(1, kCoordinatorNode, 28);
-  t.Send(kCoordinatorNode, 1, 0);
+  const std::vector<uint8_t> payload(100, 0xAB);
+  t.Send(0, kCoordinatorNode, payload.data(), 100);
+  t.Send(1, kCoordinatorNode, payload.data(), 28);
+  t.Send(kCoordinatorNode, 1, payload.data(), 0);
   NetworkStats s = t.stats();
   EXPECT_EQ(s.messages, 3u);
   EXPECT_EQ(s.bytes, 128u);
@@ -64,7 +65,10 @@ TEST(LoopbackTransportTest, ConcurrentSendsAllLand) {
   std::vector<std::thread> pool;
   for (int w = 0; w < kThreads; ++w) {
     pool.emplace_back([&t, w] {
-      for (int i = 0; i < kSends; ++i) t.Send(w, kCoordinatorNode, 3);
+      const uint8_t payload[3] = {1, 2, 3};
+      for (int i = 0; i < kSends; ++i) {
+        t.Send(w, kCoordinatorNode, payload, sizeof(payload));
+      }
     });
   }
   for (auto& th : pool) th.join();

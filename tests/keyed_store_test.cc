@@ -2,8 +2,8 @@
 // map<key, ExponentialHistogram> reference driven through the store's
 // observers (bit-identity for admitted keys),
 // sketch-guarded admission/eviction behaviour, the O(expiring keys)
-// idle-tick property, and randomized fuzz of the robin-hood table's
-// incremental rehash racing wheel-driven eviction.
+// idle-tick property, randomized fuzz of the robin-hood table's growth
+// racing wheel-driven eviction, and the fixed table of a budgeted store.
 
 #include "src/engine/keyed_store.h"
 
@@ -118,9 +118,9 @@ uint64_t TestKeyOf(const void* ctx, uint32_t val) {
 TEST(KeyTableTest, RandomizedAgainstUnorderedMap) {
   std::vector<uint64_t> key_of_val;
   KeyTable table(&TestKeyOf, &key_of_val, 64);
+  const size_t initial_capacity = table.Capacity();
   std::unordered_map<uint64_t, uint32_t> ref;
   Rng rng(0x7AB1E003);
-  bool saw_rehash = false;
   for (int op = 0; op < 60000; ++op) {
     const uint64_t key = 1 + rng.Uniform(9000);
     const uint64_t what = rng.Uniform(10);
@@ -143,11 +143,9 @@ TEST(KeyTableTest, RandomizedAgainstUnorderedMap) {
         EXPECT_EQ(got, it->second);
       }
     }
-    saw_rehash = saw_rehash || table.RehashInProgress();
     ASSERT_EQ(table.size(), ref.size());
   }
-  EXPECT_TRUE(saw_rehash);
-  EXPECT_GT(table.rehash_steps(), 0u);
+  EXPECT_GT(table.Capacity(), initial_capacity) << "table never grew";
   for (const auto& [key, val] : ref) EXPECT_EQ(table.Find(key), val);
 }
 
@@ -187,7 +185,6 @@ TEST(KeyedStoreTest, OracleDifferentialBitIdentity) {
 
   Rng rng(0x0D1FF7777);
   Timestamp ts = 1;
-  std::vector<StreamEvent> batch;
   for (int op = 0; op < 3000; ++op) {
     const uint64_t what = rng.Uniform(100);
     if (what < 60) {
@@ -195,13 +192,12 @@ TEST(KeyedStoreTest, OracleDifferentialBitIdentity) {
       const uint64_t weight = 1 + (rng.Uniform(5) == 0 ? rng.Uniform(999) : 0);
       store.Add(1 + rng.Uniform(60), ts, weight);
     } else if (what < 80) {
-      batch.clear();
+      // A burst of unit arrivals, a few ticks apart.
       const size_t n = 1 + rng.Uniform(32);
       for (size_t i = 0; i < n; ++i) {
         ts += rng.Uniform(4);
-        batch.push_back(StreamEvent{ts, 1 + rng.Uniform(60), 0});
+        store.Add(1 + rng.Uniform(60), ts);
       }
-      store.AddBatch(batch.data(), batch.size());
     } else if (what < 90) {
       // Idle gap: wheel fires without any adds.
       ts += rng.Uniform(2 * cfg.window_len);
@@ -286,24 +282,23 @@ TEST(KeyedStoreTest, SketchGuardsAdmission) {
   EXPECT_GT(store.stats().evictions, 0u);
 }
 
-TEST(KeyedStoreTest, CapacityBudgetRefusesAndRationsAscending) {
+TEST(KeyedStoreTest, CapacityBudgetRefusesInAddOrder) {
   KeyedStoreConfig cfg;
   cfg.window_len = 1000;
   cfg.max_keys = 4;
   KeyedCounterStore store(cfg);
-  // One batch offering 8 distinct keys: the 4 smallest win the budget.
-  std::vector<StreamEvent> batch;
+  // 8 distinct keys offered one by one: the first 4 to arrive win the
+  // budget.
   const uint64_t keys[] = {90, 10, 70, 30, 50, 20, 80, 60};
   Timestamp ts = 0;
-  for (uint64_t k : keys) batch.push_back(StreamEvent{++ts, k, 0});
-  store.AddBatch(batch.data(), batch.size());
+  for (uint64_t k : keys) store.Add(k, ++ts);
   EXPECT_EQ(store.LiveKeys(), 4u);
-  for (uint64_t k : {10, 20, 30, 50}) EXPECT_TRUE(store.Contains(k)) << k;
-  for (uint64_t k : {60, 70, 80, 90}) EXPECT_FALSE(store.Contains(k)) << k;
+  for (uint64_t k : {90, 10, 70, 30}) EXPECT_TRUE(store.Contains(k)) << k;
+  for (uint64_t k : {50, 20, 80, 60}) EXPECT_FALSE(store.Contains(k)) << k;
   EXPECT_EQ(store.stats().capacity_refusals, 4u);
   EXPECT_EQ(store.stats().rejected_events, 4u);
 
-  // Single-add path refuses too until eviction frees room.
+  // Refusal holds until eviction frees room.
   store.Add(5, ++ts);
   EXPECT_FALSE(store.Contains(5));
   EXPECT_EQ(store.stats().capacity_refusals, 5u);
@@ -345,10 +340,10 @@ TEST(KeyedStoreTest, IdleTicksTouchNoKeys) {
 }
 
 // ---------------------------------------------------------------------------
-// Rehash-under-expiry fuzz (run under ASan/TSan in CI)
+// Growth-under-expiry fuzz (run under ASan/TSan in CI)
 // ---------------------------------------------------------------------------
 
-TEST(KeyedStoreTest, RehashUnderExpiryFuzz) {
+TEST(KeyedStoreTest, GrowthUnderExpiryFuzz) {
   KeyedStoreConfig cfg;
   cfg.epsilon = 0.2;
   cfg.window_len = 4096;
@@ -357,9 +352,9 @@ TEST(KeyedStoreTest, RehashUnderExpiryFuzz) {
   store.on_admit = [&](uint64_t key, Timestamp) { resident.insert(key); };
   store.on_evict = [&](uint64_t key, Timestamp) { resident.erase(key); };
 
+  const size_t initial_capacity = store.TableCapacity();
   Rng rng(0xF022EA51);
   Timestamp ts = 1;
-  std::vector<StreamEvent> batch;
   for (int op = 0; op < 60000; ++op) {
     const uint64_t key = 1 + rng.Uniform(20000);
     const uint64_t what = rng.Uniform(100);
@@ -367,15 +362,14 @@ TEST(KeyedStoreTest, RehashUnderExpiryFuzz) {
       ts += rng.Uniform(2);
       store.Add(key, ts);
     } else if (what < 90) {
-      batch.clear();
+      // A burst of unit arrivals.
       for (size_t i = 1 + rng.Uniform(16); i > 0; --i) {
         ts += rng.Uniform(2);
-        batch.push_back(StreamEvent{ts, 1 + rng.Uniform(20000), 0});
+        store.Add(1 + rng.Uniform(20000), ts);
       }
-      store.AddBatch(batch.data(), batch.size());
     } else {
-      // Expiry bursts race the incremental rehash drain.
-      ts += rng.Uniform(cfg.window_len / 2);
+      // Expiry bursts interleave with the table's growth.
+      ts += rng.Uniform(cfg.window_len / 32);
       store.Advance(ts);
     }
     if (op % 997 == 0) {
@@ -388,11 +382,50 @@ TEST(KeyedStoreTest, RehashUnderExpiryFuzz) {
     }
   }
   ASSERT_EQ(store.LiveKeys(), resident.size());
+  EXPECT_GT(store.TableCapacity(), initial_capacity) << "table never grew";
   // Drain the world; everything must unwind cleanly.
   store.Advance(ts + 4 * cfg.window_len);
   EXPECT_EQ(store.LiveKeys(), 0u);
   EXPECT_TRUE(resident.empty());
   EXPECT_EQ(store.stats().admissions, store.stats().evictions);
+}
+
+// ---------------------------------------------------------------------------
+// Budgeted table: sized once, never grows
+// ---------------------------------------------------------------------------
+
+TEST(KeyedStoreTest, BudgetedTableNeverGrows) {
+  KeyedStoreConfig cfg;
+  cfg.epsilon = 0.2;
+  cfg.window_len = 4096;
+  cfg.max_keys = 1024;
+  KeyedCounterStore store(cfg);
+  // max_keys * 10 / 7 + 1 slots, rounded up to a power of two: a full
+  // budget sits at 50% load.
+  const size_t capacity = store.TableCapacity();
+  EXPECT_EQ(capacity, 2048u);
+
+  Timestamp ts = 1;
+  uint64_t next_key = 1;
+  for (size_t i = 0; i < cfg.max_keys; ++i) store.Add(next_key++, ts);
+  ASSERT_EQ(store.LiveKeys(), cfg.max_keys);
+  EXPECT_EQ(store.TableCapacity(), capacity);
+
+  // Churn: the resident set expires and a fresh one refills the budget,
+  // again and again; extra keys past the budget are refused.
+  Rng rng(0xB0D6E7);
+  for (int round = 0; round < 20; ++round) {
+    ts += 2 * cfg.window_len + rng.Uniform(cfg.window_len);
+    store.Advance(ts);
+    for (size_t i = 0; i < cfg.max_keys + 100; ++i) {
+      ts += rng.Uniform(2);
+      store.Add(next_key++, ts);
+    }
+    ASSERT_EQ(store.LiveKeys(), cfg.max_keys) << "round " << round;
+    EXPECT_EQ(store.TableCapacity(), capacity) << "round " << round;
+  }
+  EXPECT_GT(store.stats().evictions, 10 * cfg.max_keys);
+  EXPECT_GT(store.stats().capacity_refusals, 0u);
 }
 
 // ---------------------------------------------------------------------------
